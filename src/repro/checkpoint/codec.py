@@ -15,8 +15,12 @@ are 128-bit) / ``float`` / ``str`` / ``bytes`` / ``list`` / ``tuple`` /
 ``numpy.ndarray`` (dtype + shape + C-order buffer) / numpy scalars
 (dtype-preserving).
 
-Anything else is a programming error and raises :class:`CodecError` at
-*encode* time, so a checkpoint that was written can always be read back.
+Anything else — including object or structured arrays and containers
+nested deeper than :data:`MAX_DEPTH` — is a programming error and raises
+:class:`CodecError` at *encode* time, so a checkpoint that was written can
+always be read back.  :func:`decode` applies the same limits to bytes from
+outside (replica frames, checkpoint files) and raises :class:`CodecError`
+for every malformed input, never another exception type.
 """
 
 from __future__ import annotations
@@ -26,7 +30,12 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["CodecError", "encode", "decode"]
+__all__ = ["CodecError", "MAX_DEPTH", "encode", "decode"]
+
+#: deepest container nesting either direction accepts; real checkpoint
+#: payloads nest about 8 deep, and the bound keeps hostile bytes from
+#: exhausting the interpreter stack
+MAX_DEPTH = 64
 
 
 class CodecError(ValueError):
@@ -55,7 +64,24 @@ def _pack_bytes(out: list, raw: bytes) -> None:
     out.append(raw)
 
 
-def _encode_into(value: Any, out: list) -> None:
+def _checked_dtype(dtype: np.dtype) -> np.dtype:
+    # Subarray dtypes only arrive from outside: numpy never gives an
+    # array or scalar one, so ``encode`` cannot have written it.
+    if (
+        dtype.hasobject
+        or dtype.names is not None
+        or dtype.subdtype is not None
+    ):
+        raise CodecError(f"arrays of dtype {dtype!r} are not supported")
+    return dtype
+
+
+def _check_depth(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise CodecError(f"containers nested deeper than {MAX_DEPTH}")
+
+
+def _encode_into(value: Any, out: list, depth: int) -> None:
     # ``bool`` before ``int``: bool is an int subclass.
     if value is None:
         out.append(_TAG_NONE)
@@ -79,21 +105,20 @@ def _encode_into(value: Any, out: list) -> None:
         out.append(_TAG_BYTES)
         _pack_bytes(out, value)
     elif isinstance(value, (list, tuple)):
+        _check_depth(depth)
         out.append(_TAG_LIST if isinstance(value, list) else _TAG_TUPLE)
         out.append(_U32.pack(len(value)))
         for item in value:
-            _encode_into(item, out)
+            _encode_into(item, out, depth + 1)
     elif isinstance(value, dict):
+        _check_depth(depth)
         out.append(_TAG_DICT)
         out.append(_U32.pack(len(value)))
         for key, item in value.items():
-            _encode_into(key, out)
-            _encode_into(item, out)
+            _encode_into(key, out, depth + 1)
+            _encode_into(item, out, depth + 1)
     elif isinstance(value, np.ndarray):
-        if value.dtype.hasobject or value.dtype.names is not None:
-            raise CodecError(
-                f"cannot encode arrays of dtype {value.dtype!r}"
-            )
+        _checked_dtype(value.dtype)
         out.append(_TAG_ARRAY)
         _pack_bytes(out, value.dtype.str.encode("ascii"))
         out.append(_U32.pack(value.ndim))
@@ -114,7 +139,7 @@ def _encode_into(value: Any, out: list) -> None:
 def encode(value: Any) -> bytes:
     """Serialize ``value`` into the tagged binary payload format."""
     out: list = []
-    _encode_into(value, out)
+    _encode_into(value, out, 1)
     return b"".join(out)
 
 
@@ -137,8 +162,17 @@ class _Reader:
         (length,) = _U32.unpack(self.take(4))
         return self.take(length)
 
+    def take_dtype(self) -> np.dtype:
+        text = self.take_sized()
+        try:
+            dtype = np.dtype(text.decode("ascii"))
+        except (TypeError, ValueError, SyntaxError) as exc:
+            # numpy hands comma-separated specs to Python's own parser
+            raise CodecError(f"unreadable array dtype {text!r}") from exc
+        return _checked_dtype(dtype)
 
-def _decode_from(reader: _Reader) -> Any:
+
+def _decode_from(reader: _Reader, depth: int) -> Any:
     tag = reader.take(1)
     if tag == _TAG_NONE:
         return None
@@ -155,18 +189,20 @@ def _decode_from(reader: _Reader) -> Any:
     if tag == _TAG_BYTES:
         return reader.take_sized()
     if tag in (_TAG_LIST, _TAG_TUPLE):
+        _check_depth(depth)
         (count,) = _U32.unpack(reader.take(4))
-        items = [_decode_from(reader) for _ in range(count)]
+        items = [_decode_from(reader, depth + 1) for _ in range(count)]
         return items if tag == _TAG_LIST else tuple(items)
     if tag == _TAG_DICT:
+        _check_depth(depth)
         (count,) = _U32.unpack(reader.take(4))
         result = {}
         for _ in range(count):
-            key = _decode_from(reader)
-            result[key] = _decode_from(reader)
+            key = _decode_from(reader, depth + 1)
+            result[key] = _decode_from(reader, depth + 1)
         return result
     if tag == _TAG_ARRAY:
-        dtype = np.dtype(reader.take_sized().decode("ascii"))
+        dtype = reader.take_dtype()
         (ndim,) = _U32.unpack(reader.take(4))
         shape = tuple(
             _U32.unpack(reader.take(4))[0] for _ in range(ndim)
@@ -178,7 +214,7 @@ def _decode_from(reader: _Reader) -> Any:
         # ``frombuffer`` views are read-only; restored state is mutated.
         return arr.reshape(shape).copy()
     if tag == _TAG_NPSCALAR:
-        dtype = np.dtype(reader.take_sized().decode("ascii"))
+        dtype = reader.take_dtype()
         raw = reader.take_sized()
         arr = np.frombuffer(raw, dtype=dtype)
         if arr.size != 1:
@@ -190,7 +226,15 @@ def _decode_from(reader: _Reader) -> Any:
 def decode(data: bytes) -> Any:
     """Inverse of :func:`encode`; raises :class:`CodecError` on damage."""
     reader = _Reader(data)
-    value = _decode_from(reader)
+    try:
+        value = _decode_from(reader, 1)
+    except CodecError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # Hostile bytes reach numpy, ``str.decode`` and ``dict`` with
+        # values they refuse: a buffer that does not fit its dtype or
+        # shape, invalid UTF-8, an unhashable key.
+        raise CodecError(f"malformed checkpoint payload: {exc}") from exc
     if reader.pos != len(data):
         raise CodecError(
             f"{len(data) - reader.pos} trailing bytes after checkpoint payload"

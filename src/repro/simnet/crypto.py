@@ -6,14 +6,17 @@ but *real* authenticated symmetric cipher so that a network eavesdropper's
 view (recorded by :mod:`repro.simnet.adversary`) contains only ciphertext,
 while endpoints holding the session key recover the plaintext.
 
-The construction is a standard encrypt-then-MAC over a hash-based stream
-cipher:
+The construction is a standard encrypt-then-MAC over an XOF stream cipher:
 
-* keystream: ``SHA-256(key || nonce || counter)`` blocks, XORed with the
-  plaintext (a CTR-mode construction; SHA-256 plays the role of the block
-  function),
+* keystream: ``SHAKE-256(enc_key || nonce)`` squeezed to the plaintext
+  length in one call, XORed with the plaintext,
 * authentication: HMAC-SHA-256 over ``nonce || ciphertext`` with an
   independently derived MAC key.
+
+The body is exactly as long as the plaintext, so a message's wire size
+(16-byte nonce + body + 32-byte tag) and every traffic counter and
+latency draw derived from lengths do not depend on the keystream
+function; nothing outside this module reads the body bytes.
 
 This is adequate for the *semi-honest modelling* purpose here (confidential
 on the wire, tamper-evident, deterministic given an explicit nonce source).
@@ -25,7 +28,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,6 @@ from .errors import TransportError
 
 __all__ = ["SessionKey", "Ciphertext", "encrypt", "decrypt", "derive_key"]
 
-_BLOCK = hashlib.sha256().digest_size
 _NONCE_BYTES = 16
 
 
@@ -87,14 +88,7 @@ def derive_key(*parts: str) -> SessionKey:
 
 
 def _keystream(key: SessionKey, nonce: bytes, length: int) -> bytes:
-    enc_key = key.enc_key  # hoisted: one subkey derivation per message
-    prefix = enc_key + nonce
-    blocks = []
-    for counter in range((length + _BLOCK - 1) // _BLOCK):
-        blocks.append(
-            hashlib.sha256(prefix + struct.pack(">Q", counter)).digest()
-        )
-    return b"".join(blocks)[:length]
+    return hashlib.shake_256(key.enc_key + nonce).digest(length)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:

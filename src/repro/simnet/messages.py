@@ -219,9 +219,22 @@ def serialize_payload(payload: Dict[str, Any]) -> bytes:
 
 
 def deserialize_payload(data: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`serialize_payload`."""
+    """Inverse of :func:`serialize_payload`.
+
+    Malformed bytes raise :class:`TransportError`, never another type.
+    """
     buf = io.BytesIO(data)
-    value = _read_value(buf)
+    try:
+        value = _read_value(buf)
+    except (
+        TypeError, ValueError, SyntaxError, OverflowError, RecursionError
+    ) as exc:
+        # Caught once here rather than per value: hostile bytes reach
+        # numpy, ``str.decode``, ``dict`` and ``read`` with values they
+        # refuse (an unparsable dtype, a buffer that does not fit its
+        # shape, invalid UTF-8, an unhashable key, a length past the
+        # index range) or nest past the interpreter stack.
+        raise TransportError(f"malformed payload: {exc}") from exc
     if buf.read(1):
         raise TransportError("trailing bytes after payload")
     if not isinstance(value, dict):

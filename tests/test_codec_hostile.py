@@ -1,0 +1,93 @@
+"""Hostile bytes through the checkpoint codec and the layers that use it.
+
+``codec.decode`` reads checkpoint files and replica frames, and both
+callers catch :class:`CodecError` only, so every malformed payload must
+surface as that type: ``loads_checkpoint`` then refuses it as a
+:class:`CheckpointError` even when the file's digest is valid, and
+``read_frame`` as a :class:`TransportError`.
+"""
+
+import hashlib
+import io
+import struct
+
+import pytest
+
+from repro.checkpoint import (
+    SCHEMA_VERSION,
+    CheckpointError,
+    CodecError,
+    decode,
+    encode,
+    loads_checkpoint,
+)
+from repro.checkpoint.checkpoint import _HEADER, MAGIC
+from repro.checkpoint.codec import MAX_DEPTH
+from repro.cluster import TransportError, read_frame
+
+
+def _u32(value):
+    return struct.pack(">I", value)
+
+
+def _sized(raw):
+    return _u32(len(raw)) + raw
+
+
+def _array(dtype, shape, raw):
+    return (
+        b"a" + _sized(dtype) + _u32(len(shape))
+        + b"".join(_u32(extent) for extent in shape) + _sized(raw)
+    )
+
+
+HOSTILE = {
+    "deep-nesting": (b"l" + _u32(1)) * 5000 + b"N",
+    "junk-dtype": _array(b"zzz", (1,), bytes(8)),
+    "unparsable-dtype": _array(b"f8,(", (1,), bytes(8)),
+    "subarray-dtype": _array(b"(2,)<f8", (2,), bytes(16)),
+    "object-dtype": _array(b"|O", (1,), bytes(8)),
+    "structured-dtype": _array(b"i4,f8", (1,), bytes(12)),
+    "object-scalar": b"x" + _sized(b"|O") + _sized(bytes(8)),
+    "invalid-utf8": b"s" + _sized(b"\xff\xfe"),
+    "list-dict-key": b"d" + _u32(1) + b"l" + _u32(0) + b"N",
+    "ragged-buffer": _array(b"<f8", (1,), bytes(7)),
+    "too-many-dims": _array(b"<f8", (1,) * 65, bytes(8)),
+}
+
+
+@pytest.mark.parametrize("body", HOSTILE.values(), ids=HOSTILE.keys())
+def test_decode_raises_only_codec_error(body):
+    with pytest.raises(CodecError):
+        decode(body)
+
+
+@pytest.mark.parametrize("body", HOSTILE.values(), ids=HOSTILE.keys())
+def test_loads_checkpoint_refuses_digest_valid_hostile_payload(body):
+    header = _HEADER.pack(
+        MAGIC, SCHEMA_VERSION, hashlib.sha256(body).digest(), len(body)
+    )
+    with pytest.raises(CheckpointError, match="does not decode"):
+        loads_checkpoint(header + body)
+
+
+@pytest.mark.parametrize("body", HOSTILE.values(), ids=HOSTILE.keys())
+def test_read_frame_refuses_hostile_payload(body):
+    with pytest.raises(TransportError, match="cannot decode"):
+        read_frame(io.BytesIO(_u32(len(body)) + body))
+
+
+def _nested(depth):
+    value = None
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_depth_limit_is_the_same_both_ways():
+    deepest = _nested(MAX_DEPTH)
+    assert decode(encode(deepest)) == deepest
+    with pytest.raises(CodecError, match="nested deeper"):
+        encode(_nested(MAX_DEPTH + 1))
+    with pytest.raises(CodecError, match="nested deeper"):
+        decode(b"l" + _u32(1) + encode(deepest))

@@ -1,5 +1,8 @@
 """Tests for the transport cipher."""
 
+import hashlib
+import hmac
+
 import numpy as np
 import pytest
 
@@ -89,10 +92,29 @@ def test_subkeys_differ():
     assert key.enc_key != key.mac_key
 
 
-def test_ciphertext_len_accounts_for_all_parts(rng):
+KAT_LENGTHS = [0, 1, 31, 32, 33, 4096]
+
+
+@pytest.mark.parametrize("n", KAT_LENGTHS)
+def test_ciphertext_len_accounts_for_all_parts(rng, n):
     key = derive_key("a", "b")
-    ciphertext = encrypt(key, b"12345", rng)
-    assert len(ciphertext) == len(ciphertext.nonce) + 5 + len(ciphertext.tag)
+    ciphertext = encrypt(key, bytes(n), rng)
+    assert len(ciphertext) == 16 + n + 32
+
+
+@pytest.mark.parametrize("n", KAT_LENGTHS)
+def test_known_answer(n):
+    key = SessionKey(bytes(range(32)))
+    plaintext = bytes((7 * i + 3) % 256 for i in range(n))
+    ciphertext = encrypt(key, plaintext, np.random.default_rng(1234))
+    nonce = ciphertext.nonce
+    assert nonce == np.random.default_rng(1234).bytes(16)
+    stream = hashlib.shake_256(key.enc_key + nonce).digest(n)
+    assert ciphertext.body == bytes(p ^ s for p, s in zip(plaintext, stream))
+    assert ciphertext.tag == hmac.new(
+        key.mac_key, nonce + ciphertext.body, hashlib.sha256
+    ).digest()
+    assert decrypt(key, ciphertext) == plaintext
 
 
 def test_long_message_roundtrip(rng):

@@ -1,5 +1,7 @@
 """Tests for message payload serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,46 @@ def test_dict_key_order_does_not_change_encoding():
     a = serialize_payload({"x": 1, "y": 2})
     b = serialize_payload({"y": 2, "x": 1})
     assert a == b
+
+
+def _key(name):
+    return b"S" + struct.pack(">I", len(name)) + name
+
+
+def _array(dtype, shape, raw):
+    dims = b"".join(struct.pack(">q", extent) for extent in shape)
+    return (
+        b"A" + struct.pack(">I", len(dtype)) + dtype
+        + struct.pack(">I", len(shape)) + dims
+        + struct.pack(">Q", len(raw)) + raw
+    )
+
+
+def _one_entry(key, value):
+    return b"D" + struct.pack(">I", 1) + key + value
+
+
+HOSTILE = {
+    "junk-dtype": _one_entry(_key(b"a"), _array(b"zzz", (1,), bytes(8))),
+    "object-dtype": _one_entry(_key(b"a"), _array(b"|O", (1,), bytes(8))),
+    "unparsable-dtype": _one_entry(
+        _key(b"a"), _array(b"f8,(", (1,), bytes(8))
+    ),
+    "utf8-key": _one_entry(_key(b"\xff\xfe"), b"N"),
+    "list-key": _one_entry(b"L" + struct.pack(">I", 0), b"N"),
+    "shape-mismatch": _one_entry(_key(b"a"), _array(b"<f8", (3,), bytes(8))),
+    "deep-nesting": _one_entry(
+        _key(b"a"), (b"L" + struct.pack(">I", 1)) * 20000 + b"N"
+    ),
+    # an empty array whose 8-byte buffer length is replaced by 2**64 - 1
+    "huge-length": _one_entry(
+        _key(b"a"),
+        _array(b"<f8", (1,), b"")[:-8] + struct.pack(">Q", 2**64 - 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("data", HOSTILE.values(), ids=HOSTILE.keys())
+def test_hostile_payload_raises_transport_error(data):
+    with pytest.raises(TransportError):
+        deserialize_payload(data)

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import json
 import os
-import platform
-from datetime import datetime, timezone
 from typing import Dict, Optional
+
+from repro.obs.experiment import (
+    bench_timestamp,
+    load_trajectory,
+    machine_fingerprint,
+)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -33,43 +37,6 @@ def budget_from_env(name: str, default: int) -> int:
     if value is None:
         return default
     return max(1, int(value))
-
-
-def machine_fingerprint() -> Dict[str, object]:
-    """Coarse host identity attached to every trajectory entry, so numbers
-    from different machines are never compared as if they were a trend."""
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-    }
-
-
-def bench_timestamp(explicit: Optional[str] = None) -> str:
-    """Entry timestamp: ``--timestamp`` flag, else ``REPRO_BENCH_TIMESTAMP``
-    (set by CI for reproducible artefacts), else the current UTC time."""
-    if explicit:
-        return explicit
-    env = os.environ.get("REPRO_BENCH_TIMESTAMP")
-    if env:
-        return env
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _validate_entries(path: str, entries: list) -> None:
-    """Every trajectory entry must be a {timestamp, machine, metrics} record
-    (a corrupted file should fail loudly, not grow quietly)."""
-    for index, entry in enumerate(entries):
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("timestamp"), str)
-            or not isinstance(entry.get("machine"), dict)
-            or not isinstance(entry.get("metrics"), dict)
-        ):
-            raise ValueError(
-                f"{path}: entry {index} is not a "
-                f"{{timestamp, machine, metrics}} record"
-            )
 
 
 def record_trajectory(
@@ -95,14 +62,7 @@ def record_trajectory(
     }
     history: Dict[str, object] = {"bench": bench, "entries": []}
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        if not isinstance(loaded, dict) or not isinstance(
-            loaded.get("entries"), list
-        ):
-            raise ValueError(f"{path} is not a benchmark trajectory file")
-        _validate_entries(path, loaded["entries"])
-        history = loaded
+        history = load_trajectory(path)
     for existing in history["entries"]:
         if (
             existing["timestamp"] == entry["timestamp"]

@@ -7,8 +7,8 @@ state, event-time ingest gates — so durability is one serialization layer
 away.  This package is that layer:
 
 * :mod:`~repro.checkpoint.codec` — a pickle-free tagged binary encoding
-  that round-trips numpy arrays/scalars, big RNG state integers, and
-  insertion-ordered dicts exactly;
+  that round-trips numpy arrays/scalars, big RNG state integers,
+  insertion-ordered dicts, and registered dataclasses and enums exactly;
 * :mod:`~repro.checkpoint.checkpoint` — the versioned
   :class:`SessionCheckpoint` file format (magic, schema version, sha256
   payload fingerprint, atomic write-then-rename, corruption refusal), the
@@ -38,7 +38,7 @@ from .checkpoint import (
     prune_checkpoints,
     save_checkpoint,
 )
-from .codec import CodecError, decode, encode
+from .codec import CodecError, decode, encode, register
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -53,6 +53,7 @@ __all__ = [
     "list_checkpoints",
     "prune_checkpoints",
     "CodecError",
+    "register",
     "encode",
     "decode",
 ]

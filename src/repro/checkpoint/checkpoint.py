@@ -33,8 +33,8 @@ import os
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field, is_dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from .codec import CodecError, decode, encode
 
@@ -56,8 +56,10 @@ __all__ = [
 MAGIC = b"RPCK"
 
 #: Bump on any incompatible payload-layout change; loads refuse other
-#: versions rather than guessing.
-SCHEMA_VERSION = 1
+#: versions rather than guessing.  Version 2 stores configs, epochs,
+#: events, window stats and adaptors as registered dataclasses (see
+#: :func:`repro.checkpoint.codec.register`); version 1 files are refused.
+SCHEMA_VERSION = 2
 
 _HEADER = struct.Struct(">4sH32sQ")
 
@@ -96,19 +98,35 @@ class SessionCheckpoint:
     sha256 hex digest of its encoded bytes — the *format fingerprint*
     that names this exact state, printed by ``repro checkpoint inspect``
     and stable across save/load round trips.
+
+    The ``config``, ``source`` and ``progress`` accessors check their
+    part of the payload and raise :class:`CheckpointError` naming it when
+    it is missing or of the wrong type.
     """
 
     schema_version: int
     fingerprint: str
     payload: Dict[str, Any]
 
+    def _part(self, name: str, valid: Callable[[Any], bool], kind: str) -> Any:
+        if name not in self.payload:
+            raise CheckpointError(f"checkpoint carries no {name}")
+        value = self.payload[name]
+        if not valid(value):
+            raise CheckpointError(
+                f"checkpoint {name} is a {type(value).__name__}, not a {kind}"
+            )
+        return value
+
     @property
-    def config(self) -> Dict[str, Any]:
-        return self.payload["config"]
+    def config(self) -> Any:
+        """The session config (a registered dataclass) it was taken under."""
+        return self._part("config", is_dataclass, "session config")
 
     @property
     def source(self) -> Dict[str, Any]:
-        return self.payload["source"]
+        """The stream source's identity (``make_stream`` arguments)."""
+        return self._part("source", lambda v: isinstance(v, dict), "mapping")
 
     @property
     def spec(self) -> Optional[Dict[str, Any]]:
@@ -116,7 +134,8 @@ class SessionCheckpoint:
 
     @property
     def progress(self) -> Dict[str, Any]:
-        return self.payload["progress"]
+        """Records, windows and epochs completed at the checkpoint."""
+        return self._part("progress", lambda v: isinstance(v, dict), "mapping")
 
     def describe(self) -> Dict[str, Any]:
         """The ``inspect`` summary: identity + progress, no bulk state."""
@@ -130,12 +149,12 @@ class SessionCheckpoint:
             "dataset": source.get("name"),
             "stream": source.get("kind"),
             "n_records": source.get("n_records"),
-            "k": config.get("k"),
-            "classifier": config.get("classifier"),
-            "window_size": config.get("window_size"),
-            "shards": config.get("shards"),
-            "shard_backend": config.get("shard_backend"),
-            "seed": config.get("seed"),
+            "k": getattr(config, "k", None),
+            "classifier": getattr(config, "classifier", None),
+            "window_size": getattr(config, "window_size", None),
+            "shards": getattr(config, "shards", None),
+            "shard_backend": getattr(config, "shard_backend", None),
+            "seed": getattr(config, "seed", None),
             "records": progress.get("records"),
             "windows": progress.get("windows"),
             "epochs": progress.get("epochs"),

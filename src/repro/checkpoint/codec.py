@@ -1,4 +1,4 @@
-"""A tiny self-describing binary codec for checkpoint payloads.
+"""A tiny self-describing binary codec for checkpoint payloads and frames.
 
 Checkpoints must round-trip *exactly* — a restored session has to replay
 bit-identically — and they must never execute code on load, which rules
@@ -6,31 +6,45 @@ out ``pickle``.  JSON cannot carry numpy arrays, numpy scalar types
 (reservoir labels are ``np.int64``; coercing them to Python ints would
 change downstream ``repr``/dtype behaviour), arbitrary-precision RNG
 state integers, or non-string dictionary keys.  So the payload format is
-a small tagged, length-prefixed encoding of exactly the value shapes a
-:class:`~repro.checkpoint.SessionCheckpoint` contains:
+a small tagged, length-prefixed encoding of exactly these value shapes:
 
 ``None`` / ``bool`` / ``int`` (arbitrary precision — PCG64 state words
 are 128-bit) / ``float`` / ``str`` / ``bytes`` / ``list`` / ``tuple`` /
 ``dict`` (any encodable keys, insertion order preserved) /
 ``numpy.ndarray`` (dtype + shape + C-order buffer) / numpy scalars
-(dtype-preserving).
+(dtype-preserving) / instances of **registered** dataclasses and enums.
 
-Anything else — including object or structured arrays and containers
-nested deeper than :data:`MAX_DEPTH` — is a programming error and raises
-:class:`CodecError` at *encode* time, so a checkpoint that was written can
-always be read back.  :func:`decode` applies the same limits to bytes from
-outside (replica frames, checkpoint files) and raises :class:`CodecError`
-for every malformed input, never another exception type.
+The registered tag carries results, stats, configs and session state
+without a hand-written mapper per class.  Each defining module calls
+:func:`register` on its classes: an explicit allowlist keyed by
+``__qualname__`` that refuses a second class under a taken name.  An
+instance is written as its registered name, then each field's name and
+value (an enum member has one field, ``value``).  ``compare=False``
+fields are runtime attachments — telemetry, network ledgers, fitted
+models — so they are skipped and come back as their defaults.  Decoding
+requires exactly the registered field names and builds the object
+through its constructor, so the class's own validation runs.  Bytes can
+name nothing outside the allowlist, so there is still no pickle.
+
+Anything else — an unregistered class, object or structured arrays,
+containers nested deeper than :data:`MAX_DEPTH` — is a programming error
+and raises :class:`CodecError` at *encode* time, so a checkpoint that was
+written can always be read back.  :func:`decode` applies the same limits
+to bytes from outside (replica frames, checkpoint files) and raises
+:class:`CodecError` for every malformed input, never another exception
+type.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import struct
-from typing import Any
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
-__all__ = ["CodecError", "MAX_DEPTH", "encode", "decode"]
+__all__ = ["CodecError", "MAX_DEPTH", "register", "encode", "decode"]
 
 #: deepest container nesting either direction accepts; real checkpoint
 #: payloads nest about 8 deep, and the bound keeps hostile bytes from
@@ -54,9 +68,36 @@ _TAG_TUPLE = b"t"
 _TAG_DICT = b"d"
 _TAG_ARRAY = b"a"
 _TAG_NPSCALAR = b"x"
+_TAG_RECORD = b"r"
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+
+
+#: the allowlist: registered name -> class
+_REGISTRY: Dict[str, type] = {}
+#: registered class -> the names of the fields its records carry
+_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def register(cls: type) -> type:
+    """Let instances of ``cls`` (a dataclass or an enum) through the codec.
+
+    Usable as a class decorator; returns ``cls``.  Refuses a second class
+    under a registered ``__qualname__``.
+    """
+    name = cls.__qualname__
+    if name in _REGISTRY:
+        raise TypeError(f"a class named {name!r} is already registered")
+    if issubclass(cls, enum.Enum):
+        names: Tuple[str, ...] = ("value",)
+    elif dataclasses.is_dataclass(cls):
+        names = tuple(f.name for f in dataclasses.fields(cls) if f.compare)
+    else:
+        raise TypeError(f"{name} is neither a dataclass nor an enum")
+    _REGISTRY[name] = cls
+    _FIELDS[cls] = names
+    return cls
 
 
 def _pack_bytes(out: list, raw: bytes) -> None:
@@ -131,9 +172,19 @@ def _encode_into(value: Any, out: list, depth: int) -> None:
         _pack_bytes(out, arr.dtype.str.encode("ascii"))
         _pack_bytes(out, arr.tobytes())
     else:
-        raise CodecError(
-            f"cannot encode a {type(value).__name__} into a checkpoint"
-        )
+        cls = type(value)
+        names = _FIELDS.get(cls)
+        if names is None:
+            raise CodecError(
+                f"cannot encode a {cls.__name__} into a checkpoint"
+            )
+        _check_depth(depth)
+        out.append(_TAG_RECORD)
+        _pack_bytes(out, cls.__qualname__.encode("utf-8"))
+        out.append(_U32.pack(len(names)))
+        for name in names:
+            _pack_bytes(out, name.encode("utf-8"))
+            _encode_into(getattr(value, name), out, depth + 1)
 
 
 def encode(value: Any) -> bytes:
@@ -220,6 +271,29 @@ def _decode_from(reader: _Reader, depth: int) -> Any:
         if arr.size != 1:
             raise CodecError("numpy scalar buffer is not a single element")
         return arr[0]
+    if tag == _TAG_RECORD:
+        _check_depth(depth)
+        name = reader.take_sized().decode("utf-8")
+        cls = _REGISTRY.get(name)
+        if cls is None:
+            raise CodecError(f"{name!r} is not a registered class")
+        (count,) = _U32.unpack(reader.take(4))
+        fields = {}
+        for _ in range(count):
+            key = reader.take_sized().decode("utf-8")
+            fields[key] = _decode_from(reader, depth + 1)
+        expected = _FIELDS[cls]
+        if len(fields) != count or fields.keys() != set(expected):
+            raise CodecError(
+                f"{name} record carries fields {sorted(fields)}; this "
+                f"build expects {sorted(expected)}"
+            )
+        # The constructor is the class's own validation, and arbitrary
+        # code: every way it refuses outside bytes becomes a CodecError.
+        try:
+            return cls(**fields)
+        except Exception as exc:
+            raise CodecError(f"cannot rebuild a {name}: {exc}") from exc
     raise CodecError(f"unknown payload tag {tag!r}")
 
 

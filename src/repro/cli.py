@@ -129,7 +129,6 @@ from .streaming import (
     make_stream,
     run_stream_session,
 )
-from .streaming.stream_session import stream_config_from_mapping
 
 __all__ = ["main", "build_parser"]
 
@@ -1012,6 +1011,12 @@ def _cmd_stream(args: argparse.Namespace) -> str:
         # and none can silently diverge.
         ckpt = load_checkpoint(args.resume_from)
         src = ckpt.source
+        config = ckpt.config
+        if not isinstance(config, StreamConfig):
+            raise CheckpointError(
+                f"checkpoint config is a {type(config).__name__}, not a "
+                f"StreamConfig"
+            )
         source = make_stream(
             src["name"],
             kind=src["kind"],
@@ -1023,7 +1028,6 @@ def _cmd_stream(args: argparse.Namespace) -> str:
             rate=src.get("rate", 1000.0),
             burst_factor=src.get("burst_factor", 8.0),
         )
-        config = stream_config_from_mapping(ckpt.config)
         if telemetry is not None:
             config = dataclasses_replace(config, telemetry=telemetry)
     else:

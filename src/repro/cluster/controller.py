@@ -634,38 +634,17 @@ class ClusterController:
         if self._closed:
             raise AdmissionError("cluster is closed; no new sessions accepted")
         ledger = self._tenant(spec.tenant)
-        policy = ledger.policy
-        if policy.max_active is not None:
-            active = self._live_tenant_sessions(spec.tenant)
-            if active >= policy.max_active:
-                ledger.rejected += 1
-                self._rejected += 1
-                raise AdmissionError(
-                    f"tenant {spec.tenant!r} already has {active} active "
-                    f"sessions across the cluster "
-                    f"(max_active={policy.max_active})"
-                )
-        if (
-            policy.max_sessions is not None
-            and ledger.submitted >= policy.max_sessions
-        ):
+        refusal = ledger.policy.refusal(
+            spec.tenant,
+            lambda: self._live_tenant_sessions(spec.tenant),
+            ledger.submitted,
+            ledger.privacy_sessions,
+            spec.effective_privacy,
+        )
+        if refusal is not None:
             ledger.rejected += 1
             self._rejected += 1
-            raise AdmissionError(
-                f"tenant {spec.tenant!r} exhausted its session budget "
-                f"({policy.max_sessions})"
-            )
-        if (
-            spec.effective_privacy
-            and policy.privacy_budget is not None
-            and ledger.privacy_sessions >= policy.privacy_budget
-        ):
-            ledger.rejected += 1
-            self._rejected += 1
-            raise AdmissionError(
-                f"tenant {spec.tenant!r} exhausted its privacy-evaluation "
-                f"budget ({policy.privacy_budget})"
-            )
+            raise AdmissionError(refusal)
         session_id = self._next_id
         self._next_id += 1
         return session_id

@@ -3,8 +3,9 @@
 One frame is a 4-byte big-endian unsigned length followed by exactly that
 many bytes of :mod:`repro.checkpoint.codec` data encoding a single dict —
 the same pickle-free tagged format the checkpoint files use, so numpy
-arrays, big integers, and insertion-ordered mappings cross the process
-boundary exactly.  On top of frames sit two message shapes:
+arrays, big integers, insertion-ordered mappings, and registered
+dataclasses (session results, service stats) cross the process boundary
+exactly.  On top of frames sit two message shapes:
 
 * a **request** ``{"op": <str>, ...}`` — one operation of the narrow
   replica surface (submit / poll / result / cancel / evict / resume /
@@ -32,7 +33,6 @@ from typing import Any, Dict, Optional
 
 from ..checkpoint import CheckpointError, CodecError, decode, encode
 from ..serve.engine import AdmissionError
-from ..serve.wire import WireError
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -147,7 +147,6 @@ _ERROR_TYPES = {
     "CheckpointError": CheckpointError,
     "CodecError": CodecError,
     "TransportError": TransportError,
-    "WireError": WireError,
     "ValueError": ValueError,
     "KeyError": KeyError,
     "TypeError": TypeError,

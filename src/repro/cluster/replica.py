@@ -41,7 +41,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..checkpoint import CheckpointError
 from ..serve.engine import MiningService, SessionHandle, TenantPolicy
-from ..serve.wire import result_to_wire, stats_to_wire
 from .protocol import error_response, ok_response, read_frame, write_frame
 
 __all__ = ["ReplicaServer", "serve_connection", "main"]
@@ -125,7 +124,7 @@ class ReplicaServer:
         # Re-raises the session's own failure; the loop wraps it into an
         # error envelope with its type preserved.
         result = handle.result(timeout=request.get("timeout"))
-        return {"result": result_to_wire(result)}
+        return {"result": result}
 
     def _op_cancel(self, request: Dict[str, Any]) -> Dict[str, Any]:
         handle = self._handle(request["session_id"])
@@ -154,7 +153,7 @@ class ReplicaServer:
         return {"status": status, "path": path, "data": data}
 
     def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"stats": stats_to_wire(self.service.stats())}
+        return {"stats": self.service.stats()}
 
     def _op_close(self, request: Dict[str, Any]) -> Dict[str, Any]:
         parked = self.service.close(

@@ -15,12 +15,13 @@ with checkpoints crossing as **opaque RPCK bytes**
   path.  Always healthy; transport counters stay zero.
 * :class:`ProcessReplica` — a service in a **separate OS process**
   (``python -m repro.cluster.replica``), driven over a framed socketpair
-  (:mod:`repro.cluster.protocol`).  Results and stats come back through
-  :mod:`repro.serve.wire`; checkpoints travel as bytes and are validated
-  by the receiving engine like any local file.  A heartbeat thread
-  watches the child (process liveness every tick, an application-level
-  ping when the connection is idle) and reports death exactly once via
-  ``on_death`` — the controller's crash-recovery hook.
+  (:mod:`repro.cluster.protocol`).  Results and stats come back as the
+  registered dataclasses themselves (:func:`repro.checkpoint.register`);
+  checkpoints travel as bytes and are validated by the receiving engine
+  like any local file.  A heartbeat thread watches the child (process
+  liveness every tick, an application-level ping when the connection is
+  idle) and reports death exactly once via ``on_death`` — the
+  controller's crash-recovery hook.
 
 Both backends expose the same handle type surface
 (:class:`InProcessHandle` / :class:`RemoteHandle`): ``poll`` statuses are
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..checkpoint import CheckpointError, loads_checkpoint
+from ..core.session import SAPSessionResult
 from ..serve.engine import (
     AdmissionError,
     MiningService,
@@ -56,7 +58,7 @@ from ..serve.engine import (
     SessionResult,
 )
 from ..serve.spec import SessionSpec
-from ..serve.wire import result_from_wire, stats_from_wire
+from ..streaming.stream_session import StreamSessionResult
 from .protocol import TransportError, read_frame, unwrap_response, write_frame
 
 __all__ = [
@@ -70,6 +72,16 @@ __all__ = [
 
 #: handle statuses after which wait() need not keep blocking
 _SETTLED = ("completed", "failed", "cancelled", "evicted")
+
+
+def result_from_wire(value: Any) -> SessionResult:
+    """The session result a ``result`` frame carries, checked for type."""
+    if not isinstance(value, (SAPSessionResult, StreamSessionResult)):
+        raise TransportError(
+            f"a result frame must carry a session result, got a "
+            f"{type(value).__name__}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -653,7 +665,7 @@ class ProcessReplica(ReplicaTransport):
             value = self._rpc("stats")
         except TransportError:
             return
-        self._stats_cache = stats_from_wire(value["stats"])
+        self._stats_cache = value["stats"]
 
     # -- the transport surface -----------------------------------------
     def submit(
@@ -748,7 +760,7 @@ class ProcessReplica(ReplicaTransport):
                 if self._stats_cache is not None
                 else _offline_stats()
             )
-        self._stats_cache = stats_from_wire(value["stats"])
+        self._stats_cache = value["stats"]
         return self._stats_cache
 
     def close(

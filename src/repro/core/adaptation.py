@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..checkpoint.codec import register
 from .perturbation import GeometricPerturbation
 from .rotation import is_orthogonal
 
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 
+@register
 @dataclass(frozen=True)
 class SpaceAdaptor:
     """The pair ``<R_it, Psi_it>`` a provider submits to the coordinator."""
@@ -53,6 +55,8 @@ class SpaceAdaptor:
         translation = np.asarray(self.translation_adaptor, dtype=float)
         object.__setattr__(self, "rotation_adaptor", rotation)
         object.__setattr__(self, "translation_adaptor", translation)
+        if translation.ndim != 1:
+            raise ValueError("translation adaptor must be a vector")
         d = translation.shape[0]
         if rotation.shape != (d, d):
             raise ValueError(

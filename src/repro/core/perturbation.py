@@ -25,11 +25,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..checkpoint.codec import register
 from .rotation import assert_rotation_shapes, haar_orthogonal, random_translation
 
 __all__ = ["GeometricPerturbation", "sample_perturbation", "perturb_rows"]
 
 
+@register
 @dataclass(frozen=True)
 class GeometricPerturbation:
     """Parameters of one geometric perturbation ``G : (R, t, sigma)``.
@@ -55,10 +57,9 @@ class GeometricPerturbation:
         translation = np.asarray(self.translation, dtype=float)
         object.__setattr__(self, "rotation", rotation)
         object.__setattr__(self, "translation", translation)
-        d = translation.shape[0]
         if translation.ndim != 1:
             raise ValueError("translation must be a vector")
-        assert_rotation_shapes(rotation, d)
+        assert_rotation_shapes(rotation, translation.shape[0])
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 

@@ -32,9 +32,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..checkpoint.codec import register
+
 __all__ = ["ExchangePlan", "draw_exchange_plan"]
 
 
+@register
 @dataclass(frozen=True)
 class ExchangePlan:
     """One realization of SAP's random-exchange routing.

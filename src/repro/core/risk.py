@@ -43,6 +43,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..checkpoint.codec import register
+
 __all__ = [
     "source_identifiability",
     "optimality_rate",
@@ -149,6 +151,7 @@ def minimum_parties(s0: float, opt_rate: float, k_cap: int = 10_000) -> int:
     return min(k, k_cap)
 
 
+@register
 @dataclass(frozen=True)
 class PartyRiskProfile:
     """All risk quantities for one provider in one SAP run.

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..checkpoint.codec import register
 from ..datasets.partition import PartitionScheme, partition
 from ..datasets.schema import Dataset
 from ..mining.metrics import accuracy_deviation, accuracy_score
@@ -47,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (attacks -> core)
 __all__ = ["SAPSessionResult", "run_sap_session", "stratified_test_mask"]
 
 
+@register
 @dataclass
 class SAPSessionResult:
     """Everything measured in one protocol run."""
@@ -61,7 +63,9 @@ class SAPSessionResult:
     bytes_sent: int
     virtual_duration: float
     risk_profiles: List[PartyRiskProfile] = field(default_factory=list)
-    network: Optional[Network] = None
+    # the simnet observation ledger: a local debugging attachment, not
+    # part of the outcome, so it never crosses a process boundary
+    network: Optional[Network] = field(default=None, compare=False)
 
     @property
     def deviation(self) -> float:

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..checkpoint.codec import register
 from .schema import Dataset
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 
+@register
 class PartitionScheme(enum.Enum):
     """The two partition distributions studied in Figures 3, 5 and 6."""
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from ..checkpoint.codec import register
 from ..mining.base import Classifier
 from ..mining.bayes import GaussianNaiveBayes
 from ..mining.knn import KNNClassifier
@@ -17,6 +18,7 @@ from ..mining.tree import DecisionTreeClassifier
 __all__ = ["CLASSIFIER_NAMES", "ClassifierSpec", "SAPConfig", "make_classifier"]
 
 
+@register
 @dataclass(frozen=True)
 class ClassifierSpec:
     """Name + keyword arguments identifying a classifier to train.
@@ -97,6 +99,7 @@ def make_classifier(spec: ClassifierSpec) -> Classifier:
     return _FACTORIES[spec.name](**dict(spec.params))
 
 
+@register
 @dataclass(frozen=True)
 class SAPConfig:
     """Knobs for one protocol run.

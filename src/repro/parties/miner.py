@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..checkpoint.codec import register
 from ..core.adaptation import SpaceAdaptor
 from ..mining.metrics import accuracy_score
 from ..simnet.channel import Network
@@ -28,6 +29,7 @@ from .config import SAPConfig, make_classifier
 __all__ = ["MinerResult", "ServiceProvider"]
 
 
+@register
 @dataclass
 class MinerResult:
     """What the miner produces at the end of a run."""
@@ -40,7 +42,9 @@ class MinerResult:
     pooled_features: Optional[np.ndarray] = None  # (n, d) target-space rows
     pooled_labels: Optional[np.ndarray] = None
     pooled_test_mask: Optional[np.ndarray] = None
-    model: Optional[object] = None  # the fitted classifier (service phase)
+    # the fitted classifier (service phase) stays in the process that
+    # fitted it; elsewhere the pooled rows re-fit one when needed
+    model: Optional[object] = field(default=None, compare=False)
 
 
 class ServiceProvider(Node):

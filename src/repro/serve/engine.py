@@ -33,13 +33,16 @@ import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..checkpoint import (
     CheckpointError,
     Checkpointer,
     SessionEvicted,
     load_checkpoint,
+    register,
 )
 from ..core.session import SAPSessionResult, _execute_sap_session
 from ..datasets.partition import PartitionScheme
@@ -103,6 +106,44 @@ class TenantPolicy:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0 when set, got {value}")
+
+    def refusal(
+        self,
+        tenant: str,
+        active: Callable[[], int],
+        submitted: int,
+        privacy_sessions: int,
+        private: bool,
+    ) -> Optional[str]:
+        """Why this policy refuses ``tenant`` one more session, else ``None``.
+
+        The caller owns the counters.  ``active`` returns the tenant's live
+        sessions and is called only when ``max_active`` is set (a caller
+        may have to scan for it); ``private`` says whether the new session
+        runs privacy evaluation.
+        """
+        if self.max_active is not None:
+            live = active()
+            if live >= self.max_active:
+                return (
+                    f"tenant {tenant!r} already has {live} active sessions "
+                    f"(max_active={self.max_active})"
+                )
+        if self.max_sessions is not None and submitted >= self.max_sessions:
+            return (
+                f"tenant {tenant!r} exhausted its session budget "
+                f"({self.max_sessions})"
+            )
+        if (
+            private
+            and self.privacy_budget is not None
+            and privacy_sessions >= self.privacy_budget
+        ):
+            return (
+                f"tenant {tenant!r} exhausted its privacy-evaluation "
+                f"budget ({self.privacy_budget})"
+            )
+        return None
 
 
 def execute_spec(
@@ -316,6 +357,7 @@ class SessionHandle:
         return end - self.started_at
 
 
+@register
 @dataclass
 class TenantStats:
     """One tenant's aggregate service counters."""
@@ -341,6 +383,7 @@ class TenantStats:
         return self.completed / elapsed_seconds
 
 
+@register
 @dataclass(frozen=True)
 class PoolStats:
     """The shared shard pool's demand counters."""
@@ -353,6 +396,7 @@ class PoolStats:
     utilization: float
 
 
+@register
 @dataclass
 class ServiceStats:
     """A point-in-time snapshot of the whole service."""
@@ -575,31 +619,17 @@ class MiningService:
                 f"(max_inflight={self.max_inflight}, "
                 f"queue_limit={self.queue_limit}); retry later"
             )
-        if policy.max_active is not None and stats.active >= policy.max_active:
+        refusal = policy.refusal(
+            spec.tenant,
+            lambda: stats.active,
+            stats.submitted,
+            stats.privacy_sessions,
+            spec.effective_privacy,
+        )
+        if refusal is not None:
             stats.rejected += 1
             self._rejected += 1
-            raise AdmissionError(
-                f"tenant {spec.tenant!r} already has {stats.active} active "
-                f"sessions (max_active={policy.max_active})"
-            )
-        if policy.max_sessions is not None and stats.submitted >= policy.max_sessions:
-            stats.rejected += 1
-            self._rejected += 1
-            raise AdmissionError(
-                f"tenant {spec.tenant!r} exhausted its session budget "
-                f"({policy.max_sessions})"
-            )
-        if (
-            spec.effective_privacy
-            and policy.privacy_budget is not None
-            and stats.privacy_sessions >= policy.privacy_budget
-        ):
-            stats.rejected += 1
-            self._rejected += 1
-            raise AdmissionError(
-                f"tenant {spec.tenant!r} exhausted its privacy-evaluation "
-                f"budget ({policy.privacy_budget})"
-            )
+            raise AdmissionError(refusal)
         handle = SessionHandle(spec, self._next_id)
         handle._on_cancel = self._release_cancelled
         self._next_id += 1

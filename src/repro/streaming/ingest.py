@@ -56,6 +56,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checkpoint.codec import register
 from ..obs import ingest_collector
 from ..sharding.plan import ShardPlan
 from .sources import StreamRecord
@@ -76,6 +77,7 @@ LATE_POLICIES = ("drop", "readmit", "upsert")
 _Row = Tuple[int, np.ndarray, Any, float]
 
 
+@register
 @dataclass
 class ProviderGate:
     """One data provider's ingestion endpoint and its counters.
@@ -115,6 +117,7 @@ class ProviderGate:
         }
 
 
+@register
 @dataclass(frozen=True)
 class IngestStats:
     """Frozen snapshot of the plane's ingestion counters.

@@ -68,8 +68,10 @@ import numpy as np
 from ..checkpoint import (
     CheckpointError,
     Checkpointer,
+    SessionCheckpoint,
     SessionEvicted,
     load_checkpoint,
+    register,
 )
 from ..core.adaptation import AdaptorCache, SpaceAdaptor, compute_adaptor
 from ..core.perturbation import GeometricPerturbation, sample_perturbation
@@ -113,14 +115,13 @@ __all__ = [
     "StreamWindowStats",
     "StreamSessionResult",
     "STREAM_CHECKPOINT_FORMAT",
-    "stream_config_mapping",
-    "stream_config_from_mapping",
     "run_stream_session",
 ]
 
 _LOG = logging.getLogger("repro.streaming.session")
 
 
+@register
 @dataclass(frozen=True)
 class TrustChange:
     """A scheduled change of one party's trust level.
@@ -142,6 +143,7 @@ class TrustChange:
             raise ValueError("trust must be in (0, 1]")
 
 
+@register
 @dataclass(frozen=True)
 class StreamConfig:
     """Knobs for one online SAP run.
@@ -221,9 +223,10 @@ class StreamConfig:
         driver emits round/stage tracing spans (if the bundle's tracer is
         enabled) and increments its counters; when ``None`` — the default
         — every instrumented site is a guarded no-op.  Excluded from
-        equality, repr, and :meth:`~repro.serve.SessionSpec.to_mapping`,
-        and it can never affect results: telemetry reads session state,
-        never draws randomness, and never reorders execution.
+        equality, repr, the codec (checkpoints and replica frames), and
+        :meth:`~repro.serve.SessionSpec.to_mapping`, and it can never
+        affect results: telemetry reads session state, never draws
+        randomness, and never reorders execution.
     """
 
     k: int = 3
@@ -334,6 +337,7 @@ class StreamConfig:
         return f"provider-{index}"
 
 
+@register
 @dataclass(frozen=True)
 class ReadaptationEvent:
     """One space re-negotiation."""
@@ -348,6 +352,7 @@ class ReadaptationEvent:
     privacy_guarantee: Optional[float] = None
 
 
+@register
 @dataclass(frozen=True)
 class StreamWindowStats:
     """Prequential metrics for one window.
@@ -374,6 +379,7 @@ class StreamWindowStats:
         return accuracy_deviation(self.accuracy_perturbed, self.accuracy_baseline)
 
 
+@register
 @dataclass
 class StreamSessionResult:
     """Everything measured over one streaming run."""
@@ -611,6 +617,7 @@ class _NegotiationCoordinator(_NegotiationProvider):
         self.adaptors_received += 1
 
 
+@register
 @dataclass
 class _Epoch:
     """One negotiated space: target, plan, per-party perturbations, sigmas.
@@ -765,8 +772,10 @@ class _Round:
 # The driver's whole mutable surface is already explicit (incremental
 # normalizers, miner reservoirs/weights, epoch + adaptor cache, ingest
 # buffers, RNG states), so a checkpoint is a plain mapping of it.  The
-# helpers below capture and re-apply that state; the payload layout they
-# define *is* the checkpoint schema (``repro.checkpoint.SCHEMA_VERSION``).
+# config, epoch, adaptors, events and window stats are registered
+# dataclasses and go into it as they are; the helpers below capture and
+# re-apply the internals of the other objects.  The payload layout *is*
+# the checkpoint schema (``repro.checkpoint.SCHEMA_VERSION``).
 # Restore is reinit-then-overwrite: the driver initializes normally (the
 # fresh master RNG re-draws the same derived seeds in the same order),
 # then every mutable piece is overwritten from the checkpoint and the
@@ -782,63 +791,6 @@ _SOURCE_FIELDS = (
     "name", "kind", "n_records", "seed", "drift_at", "magnitude",
     "transition", "rate", "burst_factor",
 )
-
-
-def stream_config_mapping(config: StreamConfig) -> Dict[str, Any]:
-    """Every result-affecting config field, as a checkpoint-friendly dict.
-
-    ``telemetry`` is deliberately absent — a runtime attachment, never
-    part of the workload.  Inverse: :func:`stream_config_from_mapping`.
-    """
-    return {
-        "k": config.k,
-        "window_size": config.window_size,
-        "window_kind": config.window_kind,
-        "window_step": config.window_step,
-        "noise_sigma": float(config.noise_sigma),
-        "classifier": config.classifier,
-        "classifier_params": [list(pair) for pair in config.classifier_params],
-        "normalizer": config.normalizer,
-        "detector": config.detector,
-        "detector_params": [list(pair) for pair in config.detector_params],
-        "readapt_cooldown": config.readapt_cooldown,
-        "trust_changes": [
-            {"window": c.window, "party": c.party, "trust": float(c.trust)}
-            for c in config.trust_changes
-        ],
-        "compute_privacy": config.compute_privacy,
-        "shards": config.shards,
-        "shard_backend": config.shard_backend,
-        "shard_plan": config.shard_plan,
-        "overlap": config.overlap,
-        "watermark_delay": config.watermark_delay,
-        "late_policy": config.late_policy,
-        "skew": config.skew,
-        "seed": config.seed,
-    }
-
-
-def stream_config_from_mapping(mapping: Dict[str, Any]) -> StreamConfig:
-    """Rebuild the exact :class:`StreamConfig` a checkpoint was taken under."""
-    kwargs = dict(mapping)
-    kwargs["classifier_params"] = tuple(
-        tuple(pair) for pair in kwargs.get("classifier_params", ())
-    )
-    kwargs["detector_params"] = tuple(
-        tuple(pair) for pair in kwargs.get("detector_params", ())
-    )
-    kwargs["trust_changes"] = tuple(
-        TrustChange(
-            window=int(c["window"]), party=int(c["party"]), trust=float(c["trust"])
-        )
-        for c in kwargs.get("trust_changes", ())
-    )
-    try:
-        return StreamConfig(**kwargs)
-    except TypeError as exc:
-        raise CheckpointError(
-            f"checkpoint config does not match this build's StreamConfig: {exc}"
-        ) from None
 
 
 def _source_mapping(source: StreamSource) -> Dict[str, Any]:
@@ -923,61 +875,6 @@ def _restore_miner(miner: Any, state: Dict[str, Any]) -> None:
         miner._dim = None if state["dim"] is None else int(state["dim"])
 
 
-def _perturbation_state(perturbation: GeometricPerturbation) -> Dict[str, Any]:
-    return {
-        "rotation": perturbation.rotation,
-        "translation": perturbation.translation,
-        "noise_sigma": float(perturbation.noise_sigma),
-    }
-
-
-def _perturbation_from_state(state: Dict[str, Any]) -> GeometricPerturbation:
-    return GeometricPerturbation(
-        rotation=state["rotation"],
-        translation=state["translation"],
-        noise_sigma=state["noise_sigma"],
-    )
-
-
-def _epoch_state(epoch: Optional["_Epoch"]) -> Optional[Dict[str, Any]]:
-    if epoch is None:
-        return None
-    return {
-        "epoch_id": epoch.epoch_id,
-        "target": _perturbation_state(epoch.target),
-        "plan": {
-            "k": epoch.plan.k,
-            "coordinator": epoch.plan.coordinator,
-            "tau": list(epoch.plan.tau),
-            "redirect_receiver": epoch.plan.redirect_receiver,
-            "tags": list(epoch.plan.tags),
-        },
-        "perturbations": [_perturbation_state(p) for p in epoch.perturbations],
-        "sigmas": [float(s) for s in epoch.sigmas],
-    }
-
-
-def _epoch_from_state(state: Optional[Dict[str, Any]]) -> Optional["_Epoch"]:
-    if state is None:
-        return None
-    plan = state["plan"]
-    return _Epoch(
-        epoch_id=int(state["epoch_id"]),
-        target=_perturbation_from_state(state["target"]),
-        plan=ExchangePlan(
-            k=int(plan["k"]),
-            coordinator=int(plan["coordinator"]),
-            tau=tuple(int(t) for t in plan["tau"]),
-            redirect_receiver=int(plan["redirect_receiver"]),
-            tags=tuple(plan["tags"]),
-        ),
-        perturbations=[
-            _perturbation_from_state(p) for p in state["perturbations"]
-        ],
-        sigmas=tuple(state["sigmas"]),
-    )
-
-
 _GATE_COUNTERS = ("records", "late", "dropped", "readmitted", "upserted", "max_skew")
 
 
@@ -1055,21 +952,24 @@ def _restore_data_plane(data_plane: DataPlane, state: Dict[str, Any]) -> None:
 
 
 def _check_resume_compatible(
-    payload: Dict[str, Any], source: StreamSource, config: StreamConfig
+    ckpt: SessionCheckpoint, source: StreamSource, config: StreamConfig
 ) -> None:
     """Refuse to restore into a different workload (friendly exit-2 path)."""
-    if payload.get("format") != STREAM_CHECKPOINT_FORMAT:
+    saved_format = ckpt.payload.get("format")
+    if saved_format != STREAM_CHECKPOINT_FORMAT:
         raise CheckpointError(
-            f"checkpoint format {payload.get('format')!r} is not a stream "
+            f"checkpoint format {saved_format!r} is not a stream "
             f"session checkpoint"
         )
-    saved_repr = payload.get("config_repr")
-    if saved_repr != repr(config):
+    # ``telemetry`` is compare=False: a runtime attachment, never part
+    # of the workload.
+    saved_config = ckpt.config
+    if saved_config != config:
         raise CheckpointError(
             "checkpoint was taken under a different configuration; "
-            f"saved {saved_repr!r}, resuming run has {repr(config)!r}"
+            f"saved {saved_config!r}, resuming run has {config!r}"
         )
-    saved_source = payload.get("source", {})
+    saved_source = ckpt.source
     current_source = _source_mapping(source)
     mismatched = sorted(
         name
@@ -1150,7 +1050,7 @@ def _execute_stream_session(
     restore_state: Optional[Dict[str, Any]] = None
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        _check_resume_compatible(ckpt.payload, source, config)
+        _check_resume_compatible(ckpt, source, config)
         restore_state = ckpt.payload["state"]
 
     master = np.random.default_rng(config.seed)
@@ -1270,16 +1170,9 @@ def _execute_stream_session(
         trust.update(
             {int(party): float(level) for party, level in state["trust"].items()}
         )
-        epoch = _epoch_from_state(state["epoch"])
-        for target_id, party_id, entry in state["adaptors"]:
-            adaptor_cache.put(
-                target_id,
-                party_id,
-                SpaceAdaptor(
-                    rotation_adaptor=entry["rotation"],
-                    translation_adaptor=entry["translation"],
-                ),
-            )
+        epoch = state["epoch"]
+        for target_id, party_id, adaptor in state["adaptors"]:
+            adaptor_cache.put(target_id, party_id, adaptor)
         _restore_ingest(plane, state["ingest"])
         _restore_data_plane(data_plane, state["data_plane"])
         epoch_seq = int(state["epoch_seq"])
@@ -1291,10 +1184,8 @@ def _execute_stream_session(
         scored = int(state["scored"])
         records = int(state["records"])
         last_readapt_window = int(state["last_readapt_window"])
-        events = [ReadaptationEvent(**kwargs) for kwargs in state["events"]]
-        window_stats = [
-            StreamWindowStats(**kwargs) for kwargs in state["window_stats"]
-        ]
+        events = list(state["events"])
+        window_stats = list(state["window_stats"])
         if tel is not None:
             tel.metrics.counter(
                 "repro_checkpoints_total",
@@ -1740,8 +1631,7 @@ def _execute_stream_session(
         """
         return {
             "format": STREAM_CHECKPOINT_FORMAT,
-            "config": stream_config_mapping(config),
-            "config_repr": repr(config),
+            "config": config,
             "source": _source_mapping(source),
             "progress": {
                 "records": records,
@@ -1762,18 +1652,8 @@ def _execute_stream_session(
                 "miner": _miner_state(miner),
                 "baseline": _miner_state(baseline),
                 "trust": dict(trust),
-                "epoch": _epoch_state(epoch),
-                "adaptors": [
-                    (
-                        target_id,
-                        party_id,
-                        {
-                            "rotation": adaptor.rotation_adaptor,
-                            "translation": adaptor.translation_adaptor,
-                        },
-                    )
-                    for target_id, party_id, adaptor in adaptor_cache.snapshot()
-                ],
+                "epoch": epoch,
+                "adaptors": adaptor_cache.snapshot(),
                 "ingest": _ingest_state(plane),
                 "data_plane": _data_plane_state(data_plane),
                 "epoch_seq": epoch_seq,
@@ -1785,36 +1665,8 @@ def _execute_stream_session(
                 "scored": scored,
                 "records": records,
                 "last_readapt_window": last_readapt_window,
-                "events": [
-                    {
-                        "window": int(e.window),
-                        "reason": e.reason,
-                        "statistic": float(e.statistic),
-                        "latency": float(e.latency),
-                        "messages": int(e.messages),
-                        "bytes": int(e.bytes),
-                        "virtual_duration": float(e.virtual_duration),
-                        "privacy_guarantee": (
-                            None
-                            if e.privacy_guarantee is None
-                            else float(e.privacy_guarantee)
-                        ),
-                    }
-                    for e in events
-                ],
-                "window_stats": [
-                    {
-                        "index": int(w.index),
-                        "n_records": int(w.n_records),
-                        "accuracy_perturbed": float(w.accuracy_perturbed),
-                        "accuracy_baseline": float(w.accuracy_baseline),
-                        "drift_statistic": float(w.drift_statistic),
-                        "drift_kind": w.drift_kind,
-                        "readapted": bool(w.readapted),
-                        "revision": int(w.revision),
-                    }
-                    for w in window_stats
-                ],
+                "events": list(events),
+                "window_stats": list(window_stats),
             },
         }
 

@@ -201,12 +201,16 @@ def test_load_rejects_foreign_magic(tmp_path):
 
 
 def test_load_rejects_schema_version_mismatch(tmp_path):
-    path = _valid_file(tmp_path)
-    raw = bytearray(open(path, "rb").read())
-    raw[4:6] = struct.pack(">H", SCHEMA_VERSION + 1)
-    open(path, "wb").write(bytes(raw))
-    with pytest.raises(CheckpointError, match="schema version"):
-        load_checkpoint(path)
+    # a newer build's files and the previous version's (v1) are refused
+    for version in (SCHEMA_VERSION + 1, SCHEMA_VERSION - 1):
+        path = _valid_file(tmp_path)
+        with open(path, "rb") as handle:
+            raw = bytearray(handle.read())
+        raw[4:6] = struct.pack(">H", version)
+        with open(path, "wb") as handle:
+            handle.write(bytes(raw))
+        with pytest.raises(CheckpointError, match="schema version"):
+            load_checkpoint(path)
 
 
 def test_load_rejects_truncated_payload(tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import SAPConfig
 from repro.cli import build_parser, main
 
 
@@ -584,6 +585,38 @@ def test_checkpoint_inspect_empty_directory(capsys, tmp_path):
     empty.mkdir()
     out = run_cli(capsys, "checkpoint", "inspect", str(empty))
     assert "no checkpoint files" in out
+
+
+@pytest.mark.parametrize(
+    "command, payload, part",
+    [
+        (
+            ["checkpoint", "inspect"],
+            {"state": {}, "config": [1], "source": {}, "progress": {}},
+            "config is a list",
+        ),
+        (["checkpoint", "inspect"], {"state": {}}, "no progress"),
+        (["stream", "--resume-from"], {"state": {}}, "no source"),
+        (
+            ["stream", "--resume-from"],
+            {"state": {}, "config": SAPConfig(), "source": {}, "progress": {}},
+            "not a StreamConfig",
+        ),
+    ],
+    ids=["inspect-config-list", "inspect-bare", "resume-bare", "resume-batch"],
+)
+def test_digest_valid_checkpoint_with_a_bad_part_exits_cleanly(
+    capsys, tmp_path, command, payload, part
+):
+    from repro.checkpoint import save_checkpoint
+
+    path = str(tmp_path / "damaged.ckpt")
+    save_checkpoint(path, payload)
+    code = main(command + [path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+    assert part in err
 
 
 # ----------------------------------------------------------------------

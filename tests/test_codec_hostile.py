@@ -4,13 +4,16 @@
 callers catch :class:`CodecError` only, so every malformed payload must
 surface as that type: ``loads_checkpoint`` then refuses it as a
 :class:`CheckpointError` even when the file's digest is valid, and
-``read_frame`` as a :class:`TransportError`.
+``read_frame`` as a :class:`TransportError`.  That includes registered
+records whose class, field names or values the build refuses.
 """
 
+import dataclasses
 import hashlib
 import io
 import struct
 
+import numpy as np
 import pytest
 
 from repro.checkpoint import (
@@ -24,6 +27,7 @@ from repro.checkpoint import (
 from repro.checkpoint.checkpoint import _HEADER, MAGIC
 from repro.checkpoint.codec import MAX_DEPTH
 from repro.cluster import TransportError, read_frame
+from repro.streaming import StreamConfig
 
 
 def _u32(value):
@@ -41,6 +45,19 @@ def _array(dtype, shape, raw):
     )
 
 
+def _record(name, **fields):
+    return b"r" + _sized(name.encode()) + _u32(len(fields)) + b"".join(
+        _sized(key.encode()) + encode(value) for key, value in fields.items()
+    )
+
+
+_CONFIG = {
+    f.name: getattr(StreamConfig(), f.name)
+    for f in dataclasses.fields(StreamConfig)
+    if f.compare
+}
+
+
 HOSTILE = {
     "deep-nesting": (b"l" + _u32(1)) * 5000 + b"N",
     "junk-dtype": _array(b"zzz", (1,), bytes(8)),
@@ -53,6 +70,18 @@ HOSTILE = {
     "list-dict-key": b"d" + _u32(1) + b"l" + _u32(0) + b"N",
     "ragged-buffer": _array(b"<f8", (1,), bytes(7)),
     "too-many-dims": _array(b"<f8", (1,) * 65, bytes(8)),
+    "unknown-class": _record("Pickle", window=0),
+    "missing-field": _record("TrustChange", window=0, party=1),
+    "extra-field": _record("TrustChange", window=0, party=1, trust=0.5, x=1),
+    "renamed-field": _record("TrustChange", window=0, party=1, trusts=0.5),
+    "constructor-refuses": _record("StreamConfig", **dict(_CONFIG, k=1)),
+    "0d-translation": _record(
+        "GeometricPerturbation",
+        rotation=np.eye(1),
+        translation=np.asarray(1.0),
+        noise_sigma=0.0,
+    ),
+    "unknown-enum-value": _record("PartitionScheme", value="nope"),
 }
 
 

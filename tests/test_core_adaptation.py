@@ -112,6 +112,10 @@ class TestValidation:
                 rotation_adaptor=haar_orthogonal(3, rng),
                 translation_adaptor=np.zeros(4),
             )
+        with pytest.raises(ValueError, match="vector"):
+            SpaceAdaptor(
+                rotation_adaptor=np.eye(1), translation_adaptor=np.asarray(1.0)
+            )
 
     def test_apply_checks_orientation(self, source, target, rng):
         adaptor = compute_adaptor(source, target)

@@ -42,6 +42,8 @@ class TestConstruction:
             GeometricPerturbation(
                 rotation=haar_orthogonal(3, rng), translation=np.zeros(4)
             )
+        with pytest.raises(ValueError, match="vector"):
+            GeometricPerturbation(rotation=np.eye(1), translation=np.asarray(1.0))
 
     def test_negative_noise_rejected(self, rng):
         with pytest.raises(ValueError):

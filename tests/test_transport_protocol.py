@@ -178,11 +178,11 @@ def test_replica_server_full_session_lifecycle():
         response, _ = server.handle_request(
             {"op": "result", "session_id": session_id}
         )
-        wire = unwrap_response(response)["result"]
-        assert wire["records_processed"] > 0
+        result = unwrap_response(response)["result"]
+        assert result.records_processed > 0
 
         response, _ = server.handle_request({"op": "stats"})
-        assert unwrap_response(response)["stats"]["completed"] == 1
+        assert unwrap_response(response)["stats"].completed == 1
 
         response, serving = server.handle_request({"op": "shutdown"})
         assert not serving
@@ -229,7 +229,7 @@ def test_serve_connection_speaks_frames_end_to_end():
     ping = unwrap_response(read_frame(stream.responses))
     assert ping["active"] == 0 and ping["pid"] > 0
     stats = unwrap_response(read_frame(stream.responses))
-    assert stats["stats"]["submitted"] == 0
+    assert stats["stats"].submitted == 0
     shutdown = unwrap_response(read_frame(stream.responses))
     assert shutdown["pid"] == ping["pid"]
     assert read_frame(stream.responses) is None

@@ -2,19 +2,21 @@
 
 Every benchmark regenerates one paper figure (or ablation) and both prints
 the rendered series and writes it to ``benchmarks/results/<name>.txt`` so
-EXPERIMENTS.md can be assembled from the saved artefacts.
+EXPERIMENTS.md can be assembled from the saved artefacts.  The four
+trajectory benches (``bench_{overlap,ingest,serve,cluster}.py``) also run
+standalone through :func:`main`.
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 import os
-from typing import Dict, Optional
+from typing import List, Optional
 
-from repro.obs.experiment import (
-    bench_timestamp,
-    load_trajectory,
+from repro.obs.benches import measure
+from repro.obs.experiment import (  # noqa: F401  (machine_fingerprint: re-export)
     machine_fingerprint,
+    record_trajectory,
 )
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -39,39 +41,31 @@ def budget_from_env(name: str, default: int) -> int:
     return max(1, int(value))
 
 
-def record_trajectory(
-    path: str,
-    bench: str,
-    metrics: Dict[str, object],
-    timestamp: Optional[str] = None,
-) -> Dict[str, object]:
-    """Append one ``{timestamp, machine, metrics}`` entry to a trajectory file.
-
-    The file is a single JSON object ``{"bench": ..., "entries": [...]}``;
-    re-running a benchmark with the same ``--out`` grows the history rather
-    than overwriting it, which is what makes the file a perf *trajectory*.
-    Entries whose ``(timestamp, machine)`` already appears are *not*
-    re-appended — CI pins ``REPRO_BENCH_TIMESTAMP``, so retried jobs would
-    otherwise bloat the committed files with exact duplicates.  Returns the
-    appended entry (or the existing duplicate).
-    """
-    entry = {
-        "timestamp": bench_timestamp(timestamp),
-        "machine": machine_fingerprint(),
-        "metrics": metrics,
-    }
-    history: Dict[str, object] = {"bench": bench, "entries": []}
-    if os.path.exists(path):
-        history = load_trajectory(path)
-    for existing in history["entries"]:
-        if (
-            existing["timestamp"] == entry["timestamp"]
-            and existing["machine"] == entry["machine"]
-        ):
-            return existing
-    history["bench"] = bench
-    history["entries"].append(entry)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(history, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return entry
+def main(bench: str, argv: Optional[List[str]] = None) -> int:
+    """Standalone trajectory sweep:
+    ``python benchmarks/bench_<bench>.py [--quick] [--out BENCH_JSON]``."""
+    parser = argparse.ArgumentParser(
+        description=f"Run the {bench} sweep of repro.obs.benches and print "
+        f"its table."
+    )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="CI smoke mode: the small size of the committed trajectory",
+    )
+    parser.add_argument(
+        "--out",
+        metavar="BENCH_JSON",
+        help=f"append this run to a perf-trajectory file "
+        f"(e.g. BENCH_{bench}.json)",
+    )
+    parser.add_argument(
+        "--timestamp",
+        help="entry timestamp (default: $REPRO_BENCH_TIMESTAMP, else now UTC)",
+    )
+    args = parser.parse_args(argv)
+    result = measure(bench, quick=args.quick)
+    print(result.table)
+    if args.out:
+        record_trajectory(args.out, bench, result.metrics, timestamp=args.timestamp)
+    return 0

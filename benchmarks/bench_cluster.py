@@ -15,259 +15,31 @@ Because migration is bit-deterministic, the benchmark doubles as a
 correctness check: every clustered run must reproduce the single-engine
 reference result-for-result, migrations included.
 
-Two entry points:
+The sweep itself is ``repro.obs.benches.measure("cluster")``, which
+``repro experiment gate`` runs too.  Two entry points:
 
 * ``pytest benchmarks/bench_cluster.py`` — pytest-benchmark harness,
   saves the rendered block under ``benchmarks/results/``;
-* ``python benchmarks/bench_cluster.py [--quick]`` — standalone sweep;
-  ``--quick`` shrinks the workload for CI smoke runs, and ``--out
-  BENCH_cluster.json`` appends a trajectory entry for
+* ``python benchmarks/bench_cluster.py [--quick] [--out BENCH_JSON]`` —
+  standalone sweep; ``--quick`` shrinks the workload for CI smoke runs,
+  and ``--out BENCH_cluster.json`` appends a trajectory entry for
   ``repro experiment gate``.
-
-Budget knobs: ``REPRO_BENCH_CLUSTER_SESSIONS``,
-``REPRO_BENCH_CLUSTER_WINDOWS``, ``REPRO_BENCH_CLUSTER_WINDOW_SIZE``,
-``REPRO_BENCH_CLUSTER_REPLICAS`` (comma-separated sweep).
 """
 
-import argparse
-import os
-import shutil
 import sys
-import tempfile
-import time
 
-from repro.analysis.reporting import ascii_table, series_block
-from repro.cluster import ClusterController
-from repro.serve import MiningService, SessionSpec
+from repro.obs.benches import measure
 
-from _util import budget_from_env, record_trajectory, save_block
-
-N_SESSIONS = budget_from_env("REPRO_BENCH_CLUSTER_SESSIONS", 12)
-N_WINDOWS = budget_from_env("REPRO_BENCH_CLUSTER_WINDOWS", 6)
-WINDOW_SIZE = budget_from_env("REPRO_BENCH_CLUSTER_WINDOW_SIZE", 64)
-REPLICA_LEVELS = tuple(
-    int(v)
-    for v in os.environ.get("REPRO_BENCH_CLUSTER_REPLICAS", "1,2,4").split(",")
-)
-
-
-def _workload(n_sessions, n_windows, window_size):
-    """All-stream two-tenant specs (streams are what can migrate)."""
-    return [
-        SessionSpec(
-            kind="stream",
-            dataset="wine",
-            k=3,
-            windows=n_windows,
-            window_size=window_size,
-            compute_privacy=False,
-            seed=index,
-            tenant="acme" if index % 2 == 0 else "globex",
-        )
-        for index in range(n_sessions)
-    ]
-
-
-def _fingerprint(result):
-    return (result.deviation_series(), result.messages_sent, result.bytes_sent)
-
-
-def _run_single(specs):
-    began = time.perf_counter()
-    with MiningService(
-        max_inflight=2, shard_backend="thread", shard_workers=2
-    ) as service:
-        results = service.run(specs)
-    return results, time.perf_counter() - began
-
-
-def _run_cluster(specs, replicas, placement="hash", backend="inprocess"):
-    began = time.perf_counter()
-    with ClusterController(
-        replicas=replicas,
-        placement=placement,
-        backend=backend,
-        max_inflight=2,
-        shard_backend="thread",
-        shard_workers=2,
-    ) as cluster:
-        results = cluster.run(specs)
-        stats = cluster.stats()
-    return results, time.perf_counter() - began, stats
-
-
-def _migration_ping_pong(window_size, max_hops=4, seed=0):
-    """Ping-pong one session between two replicas; returns (hops, wall)."""
-    spec = SessionSpec(
-        kind="stream",
-        dataset="wine",
-        k=3,
-        windows=8,
-        window_size=window_size,
-        compute_privacy=False,
-        seed=seed,
-    )
-    scratch = tempfile.mkdtemp(prefix="repro-bench-cluster-")
-    began = time.perf_counter()
-    try:
-        with ClusterController(
-            replicas=2, max_inflight=2, checkpoint_dir=scratch,
-            checkpoint_every=1,
-        ) as cluster:
-            session = cluster.submit(spec)
-            hops = 0
-            while hops < max_hops and not session.done():
-                landed = cluster.migrate(
-                    session.session_id, (session.replica + 1) % 2
-                )
-                if landed is None:  # completed before the next boundary
-                    break
-                hops += 1
-            result = session.result()
-        wall = time.perf_counter() - began
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-    reference, _ = _run_single([spec])
-    assert _fingerprint(result) == _fingerprint(reference[0]), (
-        "migrated run diverged from the single-engine reference"
-    )
-    return hops, wall
-
-
-def _sweep(specs, replica_levels):
-    """Run the sweep; returns (table rows, fingerprints, metrics)."""
-    reference, base_wall = _run_single(specs)
-    fingerprints = [_fingerprint(r) for r in reference]
-    metrics = {
-        "n_sessions": len(specs),
-        "single_engine": {
-            "sessions_per_s": round(len(specs) / max(base_wall, 1e-9), 2),
-        },
-    }
-    rows = [
-        ["single engine", f"{len(specs) / base_wall:.2f}", "1.00x", "-", "yes"]
-    ]
-    for level in replica_levels:
-        for backend in ("inprocess", "process"):
-            results, wall, stats = _run_cluster(specs, level, backend=backend)
-            identical = [_fingerprint(r) for r in results] == fingerprints
-            assert stats.records == sum(
-                s.records for s in stats.per_replica
-            ), "merged ClusterStats lost records"
-            key = (
-                f"replicas={level}"
-                if backend == "inprocess"
-                else f"process_replicas={level}"
-            )
-            metrics[key] = {
-                "sessions_per_s": round(len(specs) / max(wall, 1e-9), 2),
-                "speedup": round(base_wall / max(wall, 1e-9), 3),
-            }
-            label = (
-                f"{level} replicas"
-                if backend == "inprocess"
-                else f"{level} proc replicas"
-            )
-            rows.append(
-                [
-                    label,
-                    f"{len(specs) / wall:.2f}",
-                    f"{base_wall / wall:.2f}x",
-                    f"{stats.completed}",
-                    "yes" if identical else "NO",
-                ]
-            )
-            assert identical, (
-                f"replicas={level} backend={backend} diverged from the "
-                f"single engine"
-            )
-    return rows, fingerprints, metrics
-
-
-HEADERS = ["configuration", "sessions/sec", "speedup", "completed", "identical"]
+from _util import main, save_block
 
 
 def test_cluster_throughput(benchmark):
-    """pytest-benchmark entry: time the widest level, save the sweep table."""
-    specs = _workload(N_SESSIONS, N_WINDOWS, WINDOW_SIZE)
-    rows, fingerprints, _ = _sweep(specs, REPLICA_LEVELS)
-    top = max(REPLICA_LEVELS)
-    results, _, _ = benchmark.pedantic(
-        lambda: _run_cluster(specs, top), rounds=1, iterations=1
+    """pytest-benchmark entry: time the full sweep, save its table."""
+    result = benchmark.pedantic(
+        measure, args=("cluster",), rounds=1, iterations=1
     )
-    assert [_fingerprint(r) for r in results] == fingerprints
-    hops, wall = _migration_ping_pong(WINDOW_SIZE)
-    rows.append(
-        ["migration x" + str(hops), f"{hops / max(wall, 1e-9):.2f} hops/s",
-         "-", "1", "yes"]
-    )
-    save_block(
-        "cluster_throughput",
-        series_block(
-            f"Cluster - sessions/sec vs replicas ({N_SESSIONS} stream "
-            f"sessions, wine, {N_WINDOWS}x{WINDOW_SIZE})",
-            ascii_table(HEADERS, rows),
-        ),
-    )
-
-
-def main(argv=None):
-    """Standalone sweep: ``python benchmarks/bench_cluster.py [--quick]``."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: a small workload, 2 replicas only",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="BENCH_JSON",
-        help="append this run to a perf-trajectory file "
-        "(e.g. BENCH_cluster.json)",
-    )
-    parser.add_argument(
-        "--timestamp",
-        help="entry timestamp (default: $REPRO_BENCH_TIMESTAMP, else now UTC)",
-    )
-    args = parser.parse_args(argv)
-
-    n_sessions, n_windows, window_size = N_SESSIONS, N_WINDOWS, WINDOW_SIZE
-    replica_levels = REPLICA_LEVELS
-    if args.quick:
-        n_sessions, n_windows, window_size = 6, 3, 32
-        replica_levels = (2,)
-    specs = _workload(n_sessions, n_windows, window_size)
-    rows, _, metrics = _sweep(specs, replica_levels)
-    hops, wall = _migration_ping_pong(window_size)
-    metrics["migration"] = {
-        "hops": hops,
-        "migrations_per_s": round(hops / max(wall, 1e-9), 2),
-    }
-    rows.append(
-        ["migration x" + str(hops), f"{hops / max(wall, 1e-9):.2f} hops/s",
-         "-", "1", "yes"]
-    )
-    print(
-        series_block(
-            f"Cluster - sessions/sec vs replicas"
-            f"{' (quick)' if args.quick else ''}",
-            ascii_table(HEADERS, rows),
-        )
-    )
-    if args.out:
-        record_trajectory(
-            args.out,
-            "cluster",
-            {
-                "n_windows": n_windows,
-                "window_size": window_size,
-                "quick": args.quick,
-                **metrics,
-            },
-            timestamp=args.timestamp,
-        )
-    return 0
+    save_block("cluster_throughput", result.table)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("cluster"))

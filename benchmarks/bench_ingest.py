@@ -11,128 +11,43 @@ redesign, reported alongside ``bench_streaming.py``'s end-to-end numbers:
    *records past its last sequence number* (the event-space latency an
    operator trades against late-record risk), for the same sweep.
 
-Two entry points:
+The sweep itself is ``repro.obs.benches.measure("ingest")``, which
+``repro experiment gate`` runs too.  Two entry points:
 
 * ``pytest benchmarks/bench_ingest.py`` — pytest-benchmark harness,
-  saves the rendered block under ``benchmarks/results/``;
-* ``python benchmarks/bench_ingest.py [--quick]`` — standalone sweep
-  (no pytest needed); ``--quick`` shrinks the workload for CI smoke runs.
-
-Budget knobs: ``REPRO_BENCH_INGEST_RECORDS``,
-``REPRO_BENCH_INGEST_WINDOW_SIZE``.
+  saves the rendered block under ``benchmarks/results/`` (plus an
+  end-to-end in-order vs skewed session comparison);
+* ``python benchmarks/bench_ingest.py [--quick] [--out BENCH_JSON]`` —
+  standalone sweep (no pytest needed); ``--quick`` shrinks the workload
+  for CI smoke runs, ``--out`` appends a trajectory entry.
 """
 
-import argparse
 import sys
-import time
 
 from repro.analysis.reporting import ascii_table, series_block
-from repro.sharding import ShardPlan
-from repro.streaming import IngestPlane, StreamConfig
-from repro.streaming import make_stream, run_stream_session, skewed
+from repro.obs.benches import measure
+from repro.streaming import StreamConfig, make_stream, run_stream_session
 
-from _util import budget_from_env, record_trajectory, save_block
-
-N_RECORDS = budget_from_env("REPRO_BENCH_INGEST_RECORDS", 20_000)
-WINDOW_SIZE = budget_from_env("REPRO_BENCH_INGEST_WINDOW_SIZE", 64)
-SWEEP = ((0, 0), (4, 4), (16, 16), (16, 0), (64, 16))  # (skew, watermark)
-
-
-def _materialize(n_records):
-    """Pre-draw the stream so the sweep times ingestion, not generation."""
-    return list(make_stream("wine", n_records=n_records, seed=0))
-
-
-def _run_plane(records, skew, watermark, window_size, shards=4):
-    """Push one arrival order through a fresh plane; return measurements."""
-    arrivals = list(skewed(records, skew, seed=0)) if skew else records
-    plane = IngestPlane(
-        ShardPlan(shards, "round_robin", n_parties=3),
-        window_kind="tumbling",
-        window_size=window_size,
-        providers=["provider-0", "provider-1", "coordinator"],
-        watermark_delay=watermark,
-        late_policy="readmit",
-    )
-    seal_lags = []
-    began = time.perf_counter()
-    for record in arrivals:
-        for window in plane.push(record):
-            # Event-space seal latency: how far the frontier had to run
-            # past the window's end before it sealed.
-            seal_lags.append(
-                plane.frontier - plane.assigner.last_seq(window.index)
-            )
-    plane.finish()
-    elapsed = time.perf_counter() - began
-    stats = plane.stats()
-    return {
-        "elapsed": elapsed,
-        "records/sec": len(records) / elapsed,
-        "seal lag (records)": (
-            sum(seal_lags) / len(seal_lags) if seal_lags else 0.0
-        ),
-        "late": stats.late,
-        "max skew": stats.max_skew,
-    }
-
-
-def _sweep(n_records=N_RECORDS, window_size=WINDOW_SIZE, sweep=SWEEP,
-           records=None):
-    if records is None:
-        records = _materialize(n_records)
-    rows, metrics = [], {}
-    for skew, watermark in sweep:
-        m = _run_plane(records, skew, watermark, window_size)
-        metrics[f"skew={skew},watermark={watermark}"] = {
-            "records_per_s": round(m["records/sec"], 1),
-            "seal_lag_records": round(m["seal lag (records)"], 2),
-            "late": m["late"],
-            "max_skew": m["max skew"],
-        }
-        rows.append(
-            [
-                str(skew),
-                str(watermark),
-                f"{m['records/sec']:,.0f}",
-                f"{m['seal lag (records)']:.1f}",
-                str(m["late"]),
-                str(m["max skew"]),
-            ]
-        )
-    return rows, metrics
-
-
-_HEADERS = ["skew", "watermark", "records/sec", "seal lag", "late", "max skew"]
+from _util import main, save_block
 
 
 def test_ingest_plane_throughput(benchmark):
-    """pytest-benchmark entry: time the in-order path, save the sweep."""
-    records = _materialize(N_RECORDS)
-    rows, _ = _sweep(records=records)
-    result = benchmark.pedantic(
-        lambda: _run_plane(records, 0, 0, WINDOW_SIZE), rounds=1, iterations=1
-    )
-    assert result["late"] == 0
-    save_block(
-        "ingest_throughput",
-        series_block(
-            f"Event-time ingestion - records/sec and seal latency "
-            f"(wine, {N_RECORDS} records, window {WINDOW_SIZE})",
-            ascii_table(_HEADERS, rows),
-        ),
-    )
+    """pytest-benchmark entry: time the full sweep, save its table."""
+    result = benchmark.pedantic(measure, args=("ingest",), rounds=1, iterations=1)
+    assert result.metrics["skew=0,watermark=0"]["late"] == 0
+    save_block("ingest_throughput", result.table)
 
 
 def test_ingest_end_to_end_overhead(benchmark):
     """Full skewed session vs the in-order one: the data-plane overhead."""
-    n_records = min(N_RECORDS, 16 * WINDOW_SIZE)
+    window_size = 64
+    n_records = 16 * window_size
 
     def run(skew, watermark):
         source = make_stream("wine", n_records=n_records, seed=0)
         config = StreamConfig(
             k=3,
-            window_size=WINDOW_SIZE,
+            window_size=window_size,
             compute_privacy=False,
             skew=skew,
             watermark_delay=watermark,
@@ -167,50 +82,5 @@ def test_ingest_end_to_end_overhead(benchmark):
     )
 
 
-def main(argv=None):
-    """Standalone sweep: ``python benchmarks/bench_ingest.py [--quick]``."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: a small record budget",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="BENCH_JSON",
-        help="append this run to a perf-trajectory file (e.g. BENCH_ingest.json)",
-    )
-    parser.add_argument(
-        "--timestamp",
-        help="entry timestamp (default: $REPRO_BENCH_TIMESTAMP, else now UTC)",
-    )
-    args = parser.parse_args(argv)
-
-    kwargs = {"n_records": N_RECORDS, "window_size": WINDOW_SIZE}
-    if args.quick:
-        kwargs = {"n_records": 4_000, "window_size": 64}
-    rows, metrics = _sweep(**kwargs)
-    print(
-        series_block(
-            f"Event-time ingestion - records/sec and seal latency vs skew"
-            f"{' (quick)' if args.quick else ''}",
-            ascii_table(_HEADERS, rows),
-        )
-    )
-    if args.out:
-        record_trajectory(
-            args.out,
-            "ingest",
-            {
-                "n_records": kwargs["n_records"],
-                "window_size": kwargs["window_size"],
-                "quick": args.quick,
-                **metrics,
-            },
-            timestamp=args.timestamp,
-        )
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("ingest"))

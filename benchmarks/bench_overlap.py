@@ -14,163 +14,28 @@ On a single hardware core the two dispatch modes collapse to the same
 wall time (there is nobody to overlap *with*); the speedup column is
 meaningful on multi-core hosts.
 
-Two entry points:
+The sweep itself is ``repro.obs.benches.measure("overlap")``, which
+``repro experiment gate`` runs too.  Two entry points:
 
 * ``pytest benchmarks/bench_overlap.py`` — pytest-benchmark harness,
   saves the rendered block under ``benchmarks/results/``;
-* ``python benchmarks/bench_overlap.py [--quick]`` — standalone sweep
-  (no pytest needed); ``--quick`` shrinks the stream for CI smoke runs.
-
-Budget knobs: ``REPRO_BENCH_OVERLAP_WINDOWS``,
-``REPRO_BENCH_OVERLAP_WINDOW_SIZE``, ``REPRO_BENCH_OVERLAP_SHARDS``
-(comma-separated sweep).
+* ``python benchmarks/bench_overlap.py [--quick] [--out BENCH_JSON]`` —
+  standalone sweep (no pytest needed); ``--quick`` shrinks the stream for
+  CI smoke runs, ``--out`` appends a trajectory entry.
 """
 
-import argparse
-import os
 import sys
-import time
 
-from repro.analysis.reporting import ascii_table, series_block
-from repro.streaming import StreamConfig, make_stream, run_stream_session
+from repro.obs.benches import measure
 
-from _util import budget_from_env, record_trajectory, save_block
-
-N_WINDOWS = budget_from_env("REPRO_BENCH_OVERLAP_WINDOWS", 24)
-WINDOW_SIZE = budget_from_env("REPRO_BENCH_OVERLAP_WINDOW_SIZE", 64)
-SHARD_LEVELS = tuple(
-    int(v)
-    for v in os.environ.get("REPRO_BENCH_OVERLAP_SHARDS", "2,4,8").split(",")
-)
-
-
-def _fingerprint(result):
-    """The deterministic core of a stream result, for identity checks."""
-    return (
-        result.deviation_series(),
-        result.messages_sent,
-        result.data_bytes_sent,
-        [(e.reason, e.window) for e in result.events],
-    )
-
-
-def _run(n_windows, window_size, shards, overlap, backend="thread", seed=0):
-    """One timed session; returns (result, wall seconds)."""
-    source = make_stream(
-        "wine", kind="stationary", n_records=n_windows * window_size, seed=seed
-    )
-    config = StreamConfig(
-        k=3,
-        window_size=window_size,
-        compute_privacy=False,
-        shards=shards,
-        shard_backend=backend,
-        overlap=overlap,
-        seed=seed,
-    )
-    began = time.perf_counter()
-    result = run_stream_session(source, config)
-    return result, time.perf_counter() - began
-
-
-def _sweep(n_windows, window_size, shard_levels):
-    """Serial-dispatch vs pipelined, one row + raw metrics per shard level."""
-    rows, metrics = [], {}
-    for shards in shard_levels:
-        serial, serial_wall = _run(n_windows, window_size, shards, overlap=False)
-        piped, piped_wall = _run(n_windows, window_size, shards, overlap=True)
-        identical = _fingerprint(piped) == _fingerprint(serial)
-        assert identical, f"shards={shards}: overlap diverged from serial dispatch"
-        assert piped.overlap and not serial.overlap
-        serial_rps = serial.records_processed / serial_wall
-        piped_rps = piped.records_processed / piped_wall
-        speedup = serial_wall / piped_wall
-        metrics[f"shards={shards}"] = {
-            "serial_records_per_s": round(serial_rps, 1),
-            "overlap_records_per_s": round(piped_rps, 1),
-            "speedup": round(speedup, 3),
-        }
-        rows.append(
-            [
-                str(shards),
-                f"{serial_rps:,.0f}",
-                f"{piped_rps:,.0f}",
-                f"{speedup:.2f}x",
-                "yes" if identical else "NO",
-            ]
-        )
-    return rows, metrics
-
-
-HEADERS = ["shards", "serial rec/s", "overlap rec/s", "speedup", "identical"]
+from _util import main, save_block
 
 
 def test_overlap_throughput(benchmark):
-    """pytest-benchmark entry: time the widest level, save the sweep table."""
-    rows, _ = _sweep(N_WINDOWS, WINDOW_SIZE, SHARD_LEVELS)
-    top = max(SHARD_LEVELS)
-    result, _ = benchmark.pedantic(
-        lambda: _run(N_WINDOWS, WINDOW_SIZE, top, overlap=True),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.overlap
-    save_block(
-        "overlap_throughput",
-        series_block(
-            f"Pipelined rounds - overlap vs serial dispatch (wine, "
-            f"{N_WINDOWS}x{WINDOW_SIZE}, thread pool)",
-            ascii_table(HEADERS, rows),
-        ),
-    )
-
-
-def main(argv=None):
-    """Standalone sweep: ``python benchmarks/bench_overlap.py [--quick]``."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: a small stream, shards 2 and 4 only",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="BENCH_JSON",
-        help="append this run to a perf-trajectory file (e.g. BENCH_overlap.json)",
-    )
-    parser.add_argument(
-        "--timestamp",
-        help="entry timestamp (default: $REPRO_BENCH_TIMESTAMP, else now UTC)",
-    )
-    args = parser.parse_args(argv)
-
-    n_windows, window_size = N_WINDOWS, WINDOW_SIZE
-    shard_levels = SHARD_LEVELS
-    if args.quick:
-        n_windows, window_size = 6, 32
-        shard_levels = (2, 4)
-    rows, metrics = _sweep(n_windows, window_size, shard_levels)
-    print(
-        series_block(
-            f"Pipelined rounds - overlap vs serial dispatch (thread pool"
-            f"{', quick' if args.quick else ''})",
-            ascii_table(HEADERS, rows),
-        )
-    )
-    if args.out:
-        record_trajectory(
-            args.out,
-            "overlap",
-            {
-                "n_windows": n_windows,
-                "window_size": window_size,
-                "quick": args.quick,
-                **metrics,
-            },
-            timestamp=args.timestamp,
-        )
-    return 0
+    """pytest-benchmark entry: time the full sweep, save its table."""
+    result = benchmark.pedantic(measure, args=("overlap",), rounds=1, iterations=1)
+    save_block("overlap_throughput", result.table)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("overlap"))

@@ -2,212 +2,34 @@
 
 Submits the same mixed batch+stream workload to a
 :class:`repro.serve.MiningService` at increasing concurrency
-(``max_inflight``) over one shared worker pool, and reports sustained
-sessions/second, the speedup over sequential submission, and the shared
-pool's utilization.  Because the engine is bit-deterministic, the
-benchmark doubles as a correctness check: every concurrency level must
-reproduce the sequential reference result-for-result.
+(``max_inflight``) over one shared thread worker pool, and reports
+sustained sessions/second, the speedup over sequential submission, and
+the shared pool's utilization.  Because the engine is bit-deterministic,
+the benchmark doubles as a correctness check: every concurrency level
+must reproduce the sequential reference result-for-result.
 
-Two entry points:
+The sweep itself is ``repro.obs.benches.measure("serve")``, which
+``repro experiment gate`` runs too.  Two entry points:
 
 * ``pytest benchmarks/bench_serve.py`` — pytest-benchmark harness, saves
   the rendered block under ``benchmarks/results/``;
-* ``python benchmarks/bench_serve.py [--quick]`` — standalone sweep (no
-  pytest needed); ``--quick`` shrinks the workload for CI smoke runs.
-
-Budget knobs: ``REPRO_BENCH_SERVE_SESSIONS``,
-``REPRO_BENCH_SERVE_WINDOWS``, ``REPRO_BENCH_SERVE_WINDOW_SIZE``,
-``REPRO_BENCH_SERVE_INFLIGHT`` (comma-separated sweep).
+* ``python benchmarks/bench_serve.py [--quick] [--out BENCH_JSON]`` —
+  standalone sweep (no pytest needed); ``--quick`` shrinks the workload
+  for CI smoke runs, ``--out`` appends a trajectory entry.
 """
 
-import argparse
-import os
 import sys
-import time
 
-from repro.analysis.reporting import ascii_table, series_block
-from repro.serve import MiningService, SessionSpec
+from repro.obs.benches import measure
 
-from _util import budget_from_env, record_trajectory, save_block
-
-N_SESSIONS = budget_from_env("REPRO_BENCH_SERVE_SESSIONS", 12)
-N_WINDOWS = budget_from_env("REPRO_BENCH_SERVE_WINDOWS", 6)
-WINDOW_SIZE = budget_from_env("REPRO_BENCH_SERVE_WINDOW_SIZE", 64)
-INFLIGHT_LEVELS = tuple(
-    int(v)
-    for v in os.environ.get("REPRO_BENCH_SERVE_INFLIGHT", "1,2,4,8").split(",")
-)
-
-
-def _workload(n_sessions, n_windows, window_size):
-    """The mixed workload: alternating batch and stream specs, two tenants."""
-    specs = []
-    for index in range(n_sessions):
-        tenant = "acme" if index % 2 == 0 else "globex"
-        if index % 2 == 0:
-            specs.append(
-                SessionSpec(
-                    kind="batch", dataset="wine", k=3, seed=index, tenant=tenant
-                )
-            )
-        else:
-            specs.append(
-                SessionSpec(
-                    kind="stream",
-                    dataset="wine",
-                    k=3,
-                    windows=n_windows,
-                    window_size=window_size,
-                    compute_privacy=False,
-                    seed=index,
-                    tenant=tenant,
-                )
-            )
-    return specs
-
-
-def _fingerprint(result):
-    """The deterministic core of a result, for cross-run comparison."""
-    if hasattr(result, "deviation_series"):
-        return ("stream", result.deviation_series(), result.messages_sent)
-    return ("batch", result.accuracy_perturbed, result.messages_sent)
-
-
-def _run(specs, max_inflight, backend="thread", workers=None):
-    """One service run; returns (results, wall seconds, utilization)."""
-    began = time.perf_counter()
-    with MiningService(
-        max_inflight=max_inflight,
-        shard_backend=backend,
-        shard_workers=workers if workers is not None else max(2, max_inflight // 2),
-    ) as service:
-        results = service.run(specs)
-        stats = service.stats()
-    wall = time.perf_counter() - began
-    return results, wall, stats.pool.utilization
-
-
-def _sweep(specs, inflight_levels, backend="thread"):
-    """Run the sweep; returns (table rows, reference fingerprints, metrics)."""
-    reference, base_wall, base_util = _run(specs, 1, backend="serial")
-    fingerprints = [_fingerprint(r) for r in reference]
-    metrics = {
-        "inflight=1 (serial)": {
-            "sessions_per_s": round(len(specs) / base_wall, 2),
-            "speedup": 1.0,
-            "pool_utilization": round(base_util, 3),
-        }
-    }
-    rows = [
-        [
-            "1 (serial)",
-            f"{len(specs) / base_wall:.2f}",
-            "1.00x",
-            f"{base_util * 100:.0f}%",
-            "yes",
-        ]
-    ]
-    for level in inflight_levels:
-        if level == 1:
-            continue
-        results, wall, util = _run(specs, level, backend=backend)
-        identical = [_fingerprint(r) for r in results] == fingerprints
-        metrics[f"inflight={level}"] = {
-            "sessions_per_s": round(len(specs) / wall, 2),
-            "speedup": round(base_wall / wall, 3),
-            "pool_utilization": round(util, 3),
-        }
-        rows.append(
-            [
-                str(level),
-                f"{len(specs) / wall:.2f}",
-                f"{base_wall / wall:.2f}x",
-                f"{util * 100:.0f}%",
-                "yes" if identical else "NO",
-            ]
-        )
-        assert identical, (
-            f"max_inflight={level} diverged from sequential submission"
-        )
-    return rows, fingerprints, metrics
-
-
-HEADERS = ["max_inflight", "sessions/sec", "speedup", "pool util", "identical"]
+from _util import main, save_block
 
 
 def test_serve_throughput(benchmark):
-    """pytest-benchmark entry: time the widest level, save the sweep table."""
-    specs = _workload(N_SESSIONS, N_WINDOWS, WINDOW_SIZE)
-    rows, fingerprints, _ = _sweep(specs, INFLIGHT_LEVELS)
-    top = max(INFLIGHT_LEVELS)
-    results, _, _ = benchmark.pedantic(
-        lambda: _run(specs, top), rounds=1, iterations=1
-    )
-    assert [_fingerprint(r) for r in results] == fingerprints
-    save_block(
-        "serve_throughput",
-        series_block(
-            f"Serving - sessions/sec vs concurrency ({N_SESSIONS} mixed "
-            f"sessions, wine, stream {N_WINDOWS}x{WINDOW_SIZE})",
-            ascii_table(HEADERS, rows),
-        ),
-    )
-
-
-def main(argv=None):
-    """Standalone sweep: ``python benchmarks/bench_serve.py [--quick]``."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: a small workload, max_inflight 1 and 4 only",
-    )
-    parser.add_argument(
-        "--backend",
-        default="thread",
-        choices=["serial", "thread", "process"],
-    )
-    parser.add_argument(
-        "--out",
-        metavar="BENCH_JSON",
-        help="append this run to a perf-trajectory file (e.g. BENCH_serve.json)",
-    )
-    parser.add_argument(
-        "--timestamp",
-        help="entry timestamp (default: $REPRO_BENCH_TIMESTAMP, else now UTC)",
-    )
-    args = parser.parse_args(argv)
-
-    n_sessions, n_windows, window_size = N_SESSIONS, N_WINDOWS, WINDOW_SIZE
-    inflight_levels = INFLIGHT_LEVELS
-    if args.quick:
-        n_sessions, n_windows, window_size = 6, 3, 32
-        inflight_levels = (1, 4)
-    specs = _workload(n_sessions, n_windows, window_size)
-    rows, _, metrics = _sweep(specs, inflight_levels, backend=args.backend)
-    print(
-        series_block(
-            f"Serving - sessions/sec vs concurrency ({args.backend} pool"
-            f"{', quick' if args.quick else ''})",
-            ascii_table(HEADERS, rows),
-        )
-    )
-    if args.out:
-        record_trajectory(
-            args.out,
-            "serve",
-            {
-                "n_sessions": n_sessions,
-                "n_windows": n_windows,
-                "window_size": window_size,
-                "backend": args.backend,
-                "quick": args.quick,
-                **metrics,
-            },
-            timestamp=args.timestamp,
-        )
-    return 0
+    """pytest-benchmark entry: time the full sweep, save its table."""
+    result = benchmark.pedantic(measure, args=("serve",), rounds=1, iterations=1)
+    save_block("serve_throughput", result.table)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("serve"))

@@ -1,7 +1,7 @@
 """Unified telemetry: metrics registry, tracing spans, latency reports.
 
 ``repro.obs`` is the dependency-free observability layer under the whole
-stack.  It has three parts:
+stack.  Its parts:
 
 * :mod:`repro.obs.metrics` — a deterministic :class:`MetricsRegistry` of
   ``Counter``/``Gauge``/``Histogram`` families with Prometheus text and
@@ -13,7 +13,10 @@ stack.  It has three parts:
   tables (p50/p95);
 * :mod:`repro.obs.experiment` — declarative sweep runner (factors x
   levels x repetitions -> persisted per-run artifacts), joined
-  metrics+span reports, and the trajectory regression gate.
+  metrics+span reports, and the trajectory regression gate;
+* :mod:`repro.obs.benches` — the sweeps behind the ``BENCH_*.json``
+  trajectories, shared by the gate and the ``benchmarks/`` scripts (not
+  imported here: it is loaded only when a sweep runs).
 
 The :class:`Telemetry` bundle below is what the execution layers carry:
 one tracer + one registry + the parent span of the current scope.  It
@@ -25,8 +28,9 @@ results stay bit-identical and throughput untouched.
 
 Layering rule: this package imports only the standard library *at import
 time*, so every other ``repro`` subpackage may import it without cycles;
-the experiment runner's execution-layer imports (``repro.serve``,
-``repro.streaming``) are deferred to call time.
+the execution-layer imports of the experiment runner and the bench
+sweeps (``repro.serve``, ``repro.streaming``, ``repro.cluster``) are
+deferred to call time.
 """
 
 from __future__ import annotations

@@ -20,19 +20,23 @@ hand-rolled script per cell:
   stage: joins the per-run metrics snapshots with the span latency
   tables of :mod:`repro.obs.report` into one factor-pivoted markdown (or
   minimal HTML) document;
+* :func:`load_trajectory` / :func:`record_trajectory` — read and append
+  the ``BENCH_*.json`` perf-trajectory files;
 * :func:`run_gate` — the trajectory regression gate: compares a fresh
-  quick measurement (or a ``--current`` trajectory file) against the
-  committed ``BENCH_*.json`` entries, matched by machine fingerprint,
-  and reports a regression whenever a throughput metric drops by more
-  than the tolerance (default 20%).
+  quick measurement (or a ``--current`` trajectory file of the same
+  bench and size) against the committed ``BENCH_*.json`` entries,
+  matched by machine fingerprint, and reports a regression whenever a
+  throughput metric drops by more than the tolerance (default 20%);
+  :func:`run_diff` makes the same comparison between two sweeps.
 
 Layering: everything config/table/report/gate-shaped here imports only
 the standard library, keeping the package's rule that any ``repro``
 subpackage may import ``repro.obs``.  The two call sites that *execute*
-sessions (:func:`run_experiment`'s cell loop and the gate's built-in
-quick measurement) defer their ``repro.serve`` / ``repro.streaming``
-imports to call time, which is safe because by then the execution layers
-are fully importable.
+sessions defer their imports to call time, which is safe because by then
+the execution layers are fully importable: :func:`run_experiment`'s cell
+loop imports ``repro.serve``, and the gate's fresh measurement imports
+:mod:`repro.obs.benches`, the one home of the trajectory sweeps that the
+``benchmarks/bench_*.py`` scripts run too.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ __all__ = [
     "machine_fingerprint",
     "bench_timestamp",
     "load_trajectory",
+    "record_trajectory",
     "flatten_metrics",
     "run_gate",
     "run_diff",
@@ -771,7 +776,7 @@ def render_experiment_report(
 
 
 # ----------------------------------------------------------------------
-# the trajectory regression gate
+# perf trajectories and the regression gate
 # ----------------------------------------------------------------------
 def load_trajectory(path: str) -> Dict[str, Any]:
     """Load and validate one ``BENCH_*.json`` perf-trajectory file."""
@@ -797,6 +802,49 @@ def load_trajectory(path: str) -> Dict[str, Any]:
     return payload
 
 
+def _trajectory_entry(
+    metrics: Dict[str, Any], timestamp: Optional[str]
+) -> Dict[str, Any]:
+    """One trajectory entry: the metrics stamped with time and machine."""
+    return {
+        "timestamp": bench_timestamp(timestamp),
+        "machine": machine_fingerprint(),
+        "metrics": metrics,
+    }
+
+
+def record_trajectory(
+    path: str,
+    bench: str,
+    metrics: Dict[str, Any],
+    timestamp: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Append one ``{timestamp, machine, metrics}`` entry to a trajectory file.
+
+    The file is a single JSON object ``{"bench": ..., "entries": [...]}``;
+    re-running a benchmark with the same ``--out`` grows the history rather
+    than overwriting it, which is what makes the file a perf *trajectory*.
+    Entries whose ``(timestamp, machine)`` already appears are *not*
+    re-appended — CI pins ``REPRO_BENCH_TIMESTAMP``, so retried jobs would
+    otherwise bloat the committed files with exact duplicates.  Returns the
+    appended entry (or the existing duplicate).
+    """
+    entry = _trajectory_entry(metrics, timestamp)
+    history: Dict[str, Any] = {"bench": bench, "entries": []}
+    if os.path.exists(path):
+        history = load_trajectory(path)
+    for existing in history["entries"]:
+        if (
+            existing["timestamp"] == entry["timestamp"]
+            and existing["machine"] == entry["machine"]
+        ):
+            return existing
+    history["bench"] = bench
+    history["entries"].append(entry)
+    _write_json(path, history)
+    return entry
+
+
 def flatten_metrics(
     metrics: Mapping[str, Any], prefix: str = ""
 ) -> Dict[str, float]:
@@ -811,6 +859,45 @@ def flatten_metrics(
     return flat
 
 
+def _compare_throughput(
+    base: Mapping[str, Any], current: Mapping[str, Any], tolerance: float
+) -> List[List[str]]:
+    """One rendered ``[metric, base, current, change, verdict]`` row per
+    throughput metric (``*per_s`` numeric leaf) both metrics dicts carry.
+
+    The verdict is ``REGRESSION`` when ``current`` sits more than
+    ``tolerance`` (a fraction) below ``base``, ``improved`` when it sits
+    more than that above, else ``ok``.
+    """
+    flat_base = flatten_metrics(base)
+    flat_current = flatten_metrics(current)
+    rows: List[List[str]] = []
+    for key in sorted(k for k in flat_base if "per_s" in k and k in flat_current):
+        before, after = flat_base[key], flat_current[key]
+        change = (after - before) / before if before > 0 else 0.0
+        if change < -tolerance:
+            verdict = "REGRESSION"
+        elif change > tolerance:
+            verdict = "improved"
+        else:
+            verdict = "ok"
+        rows.append(
+            [key, f"{before:,.1f}", f"{after:,.1f}", f"{change * 100:+.1f}%",
+             verdict]
+        )
+    return rows
+
+
+def _size_fields(metrics: Mapping[str, Any]) -> Dict[str, Any]:
+    """A trajectory entry's size fields (``quick``, ``n_windows``, ...):
+    its top-level entries that are neither mappings nor ``*per_s`` keys."""
+    return {
+        key: value
+        for key, value in metrics.items()
+        if not isinstance(value, Mapping) and "per_s" not in key
+    }
+
+
 @dataclass
 class GateReport:
     """One gate evaluation: verdict plus the rendered comparison."""
@@ -820,248 +907,6 @@ class GateReport:
     compared: int = 0
     regressions: int = 0
     skipped: Optional[str] = None
-
-
-def _measure_overlap_quick(seed: int = 0) -> Dict[str, Any]:
-    """A fresh quick overlap measurement, key-compatible with
-    ``bench_overlap.py --quick`` trajectory entries."""
-    from ..streaming import StreamConfig, make_stream, run_stream_session
-
-    n_windows, window_size = 6, 32
-    metrics: Dict[str, Any] = {
-        "n_windows": n_windows, "window_size": window_size, "quick": True,
-    }
-    for shards in (2, 4):
-        rates: Dict[str, float] = {}
-        for overlap, key in (
-            (False, "serial_records_per_s"),
-            (True, "overlap_records_per_s"),
-        ):
-            source = make_stream(
-                "wine",
-                kind="stationary",
-                n_records=n_windows * window_size,
-                seed=seed,
-            )
-            config = StreamConfig(
-                k=3,
-                window_size=window_size,
-                compute_privacy=False,
-                shards=shards,
-                shard_backend="thread",
-                overlap=overlap,
-                seed=seed,
-            )
-            began = time.perf_counter()
-            result = run_stream_session(source, config)
-            wall = time.perf_counter() - began
-            rates[key] = round(result.records_processed / max(wall, 1e-9), 1)
-        rates["speedup"] = round(
-            rates["overlap_records_per_s"]
-            / max(rates["serial_records_per_s"], 1e-9),
-            3,
-        )
-        metrics[f"shards={shards}"] = rates
-    return metrics
-
-
-def _measure_ingest_quick(seed: int = 0) -> Dict[str, Any]:
-    """A fresh quick ingest measurement, key-compatible with
-    ``bench_ingest.py --quick`` trajectory entries."""
-    from ..sharding import ShardPlan
-    from ..streaming import IngestPlane, make_stream, skewed
-
-    n_records, window_size = 4_000, 64
-    records = list(make_stream("wine", n_records=n_records, seed=seed))
-    metrics: Dict[str, Any] = {
-        "n_records": n_records, "window_size": window_size, "quick": True,
-    }
-    for skew, watermark in ((0, 0), (4, 4), (16, 16), (16, 0), (64, 16)):
-        arrivals = list(skewed(records, skew, seed=seed)) if skew else records
-        plane = IngestPlane(
-            ShardPlan(4, "round_robin", n_parties=3),
-            window_kind="tumbling",
-            window_size=window_size,
-            providers=["provider-0", "provider-1", "coordinator"],
-            watermark_delay=watermark,
-            late_policy="readmit",
-        )
-        seal_lags = []
-        began = time.perf_counter()
-        for record in arrivals:
-            for window in plane.push(record):
-                seal_lags.append(
-                    plane.frontier - plane.assigner.last_seq(window.index)
-                )
-        plane.finish()
-        wall = time.perf_counter() - began
-        stats = plane.stats()
-        metrics[f"skew={skew},watermark={watermark}"] = {
-            "records_per_s": round(len(records) / max(wall, 1e-9), 1),
-            "seal_lag_records": round(
-                sum(seal_lags) / len(seal_lags) if seal_lags else 0.0, 2
-            ),
-            "late": stats.late,
-            "max_skew": stats.max_skew,
-        }
-    return metrics
-
-
-def _measure_serve_quick(seed: int = 0) -> Dict[str, Any]:
-    """A fresh quick serve measurement, key-compatible with
-    ``bench_serve.py --quick`` trajectory entries."""
-    from ..serve import MiningService, SessionSpec
-
-    n_sessions, n_windows, window_size = 6, 3, 32
-    specs = []
-    for index in range(n_sessions):
-        tenant = "acme" if index % 2 == 0 else "globex"
-        if index % 2 == 0:
-            specs.append(
-                SessionSpec(
-                    kind="batch", dataset="wine", k=3, seed=index, tenant=tenant
-                )
-            )
-        else:
-            specs.append(
-                SessionSpec(
-                    kind="stream",
-                    dataset="wine",
-                    k=3,
-                    windows=n_windows,
-                    window_size=window_size,
-                    compute_privacy=False,
-                    seed=index,
-                    tenant=tenant,
-                )
-            )
-
-    def run(max_inflight, backend):
-        began = time.perf_counter()
-        with MiningService(
-            max_inflight=max_inflight,
-            shard_backend=backend,
-            shard_workers=max(2, max_inflight // 2),
-        ) as service:
-            service.run(specs)
-            stats = service.stats()
-        return time.perf_counter() - began, stats.pool.utilization
-
-    metrics: Dict[str, Any] = {
-        "n_sessions": n_sessions,
-        "n_windows": n_windows,
-        "window_size": window_size,
-        "backend": "thread",
-        "quick": True,
-    }
-    base_wall, base_util = run(1, "serial")
-    metrics["inflight=1 (serial)"] = {
-        "sessions_per_s": round(n_sessions / base_wall, 2),
-        "speedup": 1.0,
-        "pool_utilization": round(base_util, 3),
-    }
-    for level in (1, 4):
-        if level == 1:
-            continue
-        wall, util = run(level, "thread")
-        metrics[f"inflight={level}"] = {
-            "sessions_per_s": round(n_sessions / wall, 2),
-            "speedup": round(base_wall / wall, 3),
-            "pool_utilization": round(util, 3),
-        }
-    return metrics
-
-
-def _measure_cluster_quick(seed: int = 0) -> Dict[str, Any]:
-    """A fresh quick cluster measurement, key-compatible with
-    ``bench_cluster.py --quick`` trajectory entries."""
-    import shutil
-    import tempfile
-
-    from ..cluster import ClusterController
-    from ..serve import MiningService, SessionSpec
-
-    n_sessions, n_windows, window_size = 6, 3, 32
-    specs = [
-        SessionSpec(
-            kind="stream",
-            dataset="wine",
-            k=3,
-            windows=n_windows,
-            window_size=window_size,
-            compute_privacy=False,
-            seed=seed + index,
-            tenant="acme" if index % 2 == 0 else "globex",
-        )
-        for index in range(n_sessions)
-    ]
-    metrics: Dict[str, Any] = {
-        "n_sessions": n_sessions,
-        "n_windows": n_windows,
-        "window_size": window_size,
-        "quick": True,
-    }
-    began = time.perf_counter()
-    with MiningService(
-        max_inflight=2, shard_backend="thread", shard_workers=2
-    ) as service:
-        service.run(specs)
-    single_wall = time.perf_counter() - began
-    metrics["single_engine"] = {
-        "sessions_per_s": round(n_sessions / max(single_wall, 1e-9), 2),
-    }
-    began = time.perf_counter()
-    with ClusterController(
-        replicas=2, max_inflight=2, shard_backend="thread", shard_workers=2
-    ) as cluster:
-        cluster.run(specs)
-    wall = time.perf_counter() - began
-    metrics["replicas=2"] = {
-        "sessions_per_s": round(n_sessions / max(wall, 1e-9), 2),
-        "speedup": round(single_wall / max(wall, 1e-9), 3),
-    }
-    tmp = tempfile.mkdtemp(prefix="repro-cluster-quick-")
-    try:
-        began = time.perf_counter()
-        with ClusterController(
-            replicas=2, max_inflight=2, checkpoint_dir=tmp, checkpoint_every=1
-        ) as cluster:
-            session = cluster.submit(
-                SessionSpec(
-                    kind="stream",
-                    dataset="wine",
-                    k=3,
-                    windows=8,
-                    window_size=window_size,
-                    compute_privacy=False,
-                    seed=seed,
-                )
-            )
-            hops = 0
-            while hops < 4 and not session.done():
-                if cluster.migrate(
-                    session.session_id, (session.replica + 1) % 2
-                ) is None:
-                    break
-                hops += 1
-            session.wait()
-        wall = time.perf_counter() - began
-        metrics["migration"] = {
-            "hops": hops,
-            "migrations_per_s": round(hops / max(wall, 1e-9), 2),
-        }
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return metrics
-
-
-#: benches the gate can measure fresh itself; others need ``--current``
-_BUILTIN_MEASUREMENTS: Dict[str, Callable[[], Dict[str, Any]]] = {
-    "overlap": _measure_overlap_quick,
-    "ingest": _measure_ingest_quick,
-    "serve": _measure_serve_quick,
-    "cluster": _measure_cluster_quick,
-}
 
 
 def run_gate(
@@ -1078,12 +923,16 @@ def run_gate(
     fingerprint matches this host (entries from other machines are never
     treated as a trend; ``allow_machine_mismatch`` lifts that for
     containers whose fingerprints churn).  The current measurement comes
-    from ``current_path`` (the latest entry of another trajectory file,
-    e.g. one the benchmark just wrote with ``--out``) or, for benches
-    with a built-in quick measurement, from running one now.  Every
-    throughput metric (``*per_s`` keys present on both sides) must stay
-    above ``baseline * (1 - tolerance)``; any that does not is a
-    regression and the gate fails.
+    from ``current_path`` (the latest entry of another trajectory file of
+    the same bench, e.g. one the benchmark just wrote with ``--out``) or,
+    for the benches of :mod:`repro.obs.benches`, from running its quick
+    sweep now.  Both must measure the same size: a size field (a
+    top-level metric that is neither a mapping nor a ``*per_s`` key, such
+    as ``quick`` or ``n_windows``) present on both sides with different
+    values is a ``ValueError``, as is a ``current_path`` holding another
+    bench.  Every throughput metric (``*per_s`` keys present on both
+    sides) must stay above ``baseline * (1 - tolerance)``; any that does
+    not is a regression and the gate fails.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance!r}")
@@ -1092,34 +941,34 @@ def run_gate(
     fingerprint = machine_fingerprint()
 
     if current_path is not None:
-        current_entries = load_trajectory(current_path)["entries"]
+        current_trajectory = load_trajectory(current_path)
+        if current_trajectory.get("bench") != trajectory.get("bench"):
+            raise ValueError(
+                f"current trajectory {current_path!r} is bench "
+                f"{current_trajectory.get('bench')!r} but baseline "
+                f"{baseline_path!r} is bench {trajectory.get('bench')!r}; "
+                f"the gate compares a bench only with itself"
+            )
+        current_entries = current_trajectory["entries"]
         if not current_entries:
             raise ValueError(f"current trajectory {current_path!r} has no entries")
         current = current_entries[-1]["metrics"]
         current_label = f"latest entry of {current_path}"
     else:
-        measure = _BUILTIN_MEASUREMENTS.get(bench)
-        if measure is None:
+        from .benches import BENCHES, measure  # deferred: execution layers
+
+        if bench not in BENCHES:
             raise ValueError(
                 f"no built-in quick measurement for bench {bench!r}; pass "
                 f"--current with a freshly recorded trajectory file "
-                f"(available built-ins: {', '.join(sorted(_BUILTIN_MEASUREMENTS))})"
+                f"(available built-ins: {', '.join(BENCHES)})"
             )
-        current = measure()
+        current = measure(bench, quick=True).metrics
         current_label = f"fresh quick {bench} run"
     if write_current:
         _write_json(
             write_current,
-            {
-                "bench": bench,
-                "entries": [
-                    {
-                        "timestamp": bench_timestamp(timestamp),
-                        "machine": fingerprint,
-                        "metrics": current,
-                    }
-                ],
-            },
+            {"bench": bench, "entries": [_trajectory_entry(current, timestamp)]},
         )
 
     candidates = [
@@ -1138,10 +987,21 @@ def run_gate(
             ),
         )
     baseline = candidates[-1]
-    base_flat = flatten_metrics(baseline["metrics"])
-    cur_flat = flatten_metrics(current)
-    keys = sorted(k for k in base_flat if "per_s" in k and k in cur_flat)
-    if not keys:
+    base_size = _size_fields(baseline["metrics"])
+    current_size = _size_fields(current)
+    differing = [
+        f"{key}: baseline {base_size[key]!r}, current {current_size[key]!r}"
+        for key in sorted(base_size)
+        if key in current_size and base_size[key] != current_size[key]
+    ]
+    if differing:
+        raise ValueError(
+            f"baseline entry {baseline['timestamp']} of {baseline_path} and "
+            f"{current_label} measure different sizes ({'; '.join(differing)}); "
+            f"gate a run only against an entry of its own size"
+        )
+    rows = _compare_throughput(baseline["metrics"], current, tolerance)
+    if not rows:
         return GateReport(
             ok=True,
             skipped="no throughput metrics",
@@ -1151,23 +1011,7 @@ def run_gate(
                 f"'*per_s' throughput metrics."
             ),
         )
-
-    rows = []
-    regressions = 0
-    for key in keys:
-        base_value, cur_value = base_flat[key], cur_flat[key]
-        drop = (base_value - cur_value) / base_value if base_value > 0 else 0.0
-        regressed = drop > tolerance
-        regressions += regressed
-        rows.append(
-            [
-                key,
-                f"{base_value:,.1f}",
-                f"{cur_value:,.1f}",
-                f"{-drop * 100:+.1f}%",
-                "REGRESSION" if regressed else "ok",
-            ]
-        )
+    regressions = sum(row[-1] == "REGRESSION" for row in rows)
     verdict = "FAIL" if regressions else "PASS"
     lines = [
         f"gate: {verdict} — {bench} vs baseline {baseline['timestamp']} "
@@ -1177,7 +1021,7 @@ def run_gate(
     return GateReport(
         ok=not regressions,
         text="\n".join(lines),
-        compared=len(keys),
+        compared=len(rows),
         regressions=regressions,
     )
 
@@ -1198,12 +1042,12 @@ def run_diff(
 ) -> DiffReport:
     """Compare two sweep result directories cell by cell.
 
-    Cells are matched by run id (the deterministic
-    ``<factors>…-rep<N>`` directory name, so the same config's sweeps
-    line up automatically); within each matched pair, every shared
-    throughput metric (``*per_s`` keys of the persisted result
-    summaries) is compared B-vs-A.  A drop beyond ``tolerance`` is a
-    ``REGRESSION`` (and fails the diff, exit 1 from the CLI), a gain
+    Cells are matched by run id (the deterministic directory name, e.g.
+    ``000-shards=1-shard_backend=serial-overlap=false-r0``, so the same
+    config's sweeps line up automatically); within each matched pair,
+    every shared throughput metric (``*per_s`` keys of the persisted
+    result summaries) is compared B-vs-A.  A drop beyond ``tolerance`` is
+    a ``REGRESSION`` (and fails the diff, exit 1 from the CLI), a gain
     beyond it is highlighted ``improved``, anything else is ``ok``.
     Cells present in only one directory, and cells whose artifact is an
     error, are listed but never compared.
@@ -1219,47 +1063,29 @@ def run_diff(
     for run_id in sorted(set(runs_b) - set(runs_a)):
         notes.append(f"only in B: {run_id}")
 
-    def summary(run: Mapping[str, Any]) -> Optional[Dict[str, float]]:
+    def summary(run: Mapping[str, Any]) -> Optional[Mapping[str, Any]]:
         result = run.get("result")
         if not isinstance(result, Mapping) or result.get("status") != "ok":
             return None
-        return flatten_metrics(result.get("summary") or {})
+        return result.get("summary") or {}
 
-    rows: List[List[Any]] = []
-    compared = regressions = improvements = 0
+    rows: List[List[str]] = []
     for run_id in shared:
-        flat_a = summary(runs_a[run_id])
-        flat_b = summary(runs_b[run_id])
-        if flat_a is None or flat_b is None:
-            side = "A" if flat_a is None else "B"
+        summary_a = summary(runs_a[run_id])
+        summary_b = summary(runs_b[run_id])
+        if summary_a is None or summary_b is None:
+            side = "A" if summary_a is None else "B"
             notes.append(f"not completed in {side}: {run_id}")
             continue
-        keys = sorted(k for k in flat_a if "per_s" in k and k in flat_b)
-        for key in keys:
-            value_a, value_b = flat_a[key], flat_b[key]
-            change = (value_b - value_a) / value_a if value_a > 0 else 0.0
-            if change < -tolerance:
-                verdict = "REGRESSION"
-                regressions += 1
-            elif change > tolerance:
-                verdict = "improved"
-                improvements += 1
-            else:
-                verdict = "ok"
-            compared += 1
-            rows.append(
-                [
-                    run_id,
-                    key,
-                    f"{value_a:,.1f}",
-                    f"{value_b:,.1f}",
-                    f"{change * 100:+.1f}%",
-                    verdict,
-                ]
-            )
+        rows += [
+            [run_id] + row
+            for row in _compare_throughput(summary_a, summary_b, tolerance)
+        ]
+    regressions = sum(row[-1] == "REGRESSION" for row in rows)
+    improvements = sum(row[-1] == "improved" for row in rows)
     verdict = "FAIL" if regressions else "PASS"
     lines = [
-        f"diff: {verdict} — {compared} cells compared "
+        f"diff: {verdict} — {len(rows)} cells compared "
         f"(A={dir_a}, B={dir_b}, tolerance {tolerance * 100:.0f}%): "
         f"{regressions} regressions, {improvements} improvements",
     ]
@@ -1275,7 +1101,7 @@ def run_diff(
     return DiffReport(
         ok=not regressions,
         text="\n".join(lines),
-        compared=compared,
+        compared=len(rows),
         regressions=regressions,
         improvements=improvements,
     )

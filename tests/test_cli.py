@@ -422,9 +422,9 @@ def test_experiment_run_bad_config_exits_cleanly(capsys, tmp_path):
 def test_experiment_gate_pass_and_fail(capsys, tmp_path):
     from repro.obs.experiment import machine_fingerprint
 
-    def trajectory(path, rate):
+    def trajectory(path, rate, bench="overlap"):
         path.write_text(json.dumps({
-            "bench": "overlap",
+            "bench": bench,
             "entries": [{
                 "timestamp": "t0",
                 "machine": machine_fingerprint(),
@@ -462,6 +462,15 @@ def test_experiment_gate_pass_and_fail(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert "--tolerance" in captured.err
+    # a --current file of another bench is a usage error, never a pass
+    serve = trajectory(tmp_path / "serve.json", 950.0, bench="serve")
+    code = main([
+        "experiment", "gate", "--baseline", baseline, "--current", serve,
+        "--allow-machine-mismatch",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'serve'" in captured.err and "'overlap'" in captured.err
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,13 @@ monkeypatch ``execute_spec`` instead of manufacturing real failures.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs import (
     ExperimentConfig,
     expand_run_table,
@@ -24,8 +28,10 @@ from repro.obs.experiment import (
     SPANS_FILE,
     SPEC_FILE,
     flatten_metrics,
+    load_trajectory,
     machine_fingerprint,
 )
+from repro.obs.benches import measure
 
 TINY_BASE = {
     "kind": "stream",
@@ -399,6 +405,105 @@ def test_gate_rejects_malformed_trajectories(tmp_path):
         run_gate(str(bad))
     with pytest.raises(ValueError, match="cannot read"):
         run_gate(str(tmp_path / "missing.json"))
+
+
+def test_gate_refuses_a_current_file_of_another_bench(tmp_path):
+    baseline = _trajectory(
+        tmp_path / "base.json", {"serial_records_per_s": 1000.0}
+    )
+    current = _trajectory(
+        tmp_path / "cur.json", {"sessions_per_s": 10.0}, bench="serve"
+    )
+    with pytest.raises(ValueError, match=r"bench 'serve'.*bench 'overlap'"):
+        run_gate(baseline, current_path=current, allow_machine_mismatch=True)
+
+
+def test_gate_refuses_runs_of_different_sizes(tmp_path):
+    quick = {
+        "n_windows": 6, "window_size": 32, "quick": True,
+        "shards=2": {"serial_records_per_s": 1000.0},
+    }
+    full = {
+        "n_windows": 24, "window_size": 64, "quick": False,
+        "shards=2": {"serial_records_per_s": 4000.0},
+    }
+    quick_path = _trajectory(tmp_path / "quick.json", quick)
+    full_path = _trajectory(tmp_path / "full.json", full)
+    # a full-size run against a quick baseline is no fourfold gain ...
+    with pytest.raises(ValueError, match="different sizes") as excinfo:
+        run_gate(quick_path, current_path=full_path)
+    for field in (
+        "n_windows: baseline 6, current 24",
+        "quick: baseline True, current False",
+        "window_size: baseline 32, current 64",
+    ):
+        assert field in str(excinfo.value)
+    # ... nor a quick run against a full-size baseline a regression
+    with pytest.raises(ValueError, match="different sizes"):
+        run_gate(full_path, current_path=quick_path)
+    # string size fields count too
+    serve = _trajectory(
+        tmp_path / "serve.json", {"backend": "process", "sessions_per_s": 5.0}
+    )
+    thread = _trajectory(
+        tmp_path / "thread.json", {"backend": "thread", "sessions_per_s": 5.0}
+    )
+    with pytest.raises(ValueError, match="backend: baseline 'process'"):
+        run_gate(serve, current_path=thread)
+    # equal sizes compare as before
+    assert run_gate(quick_path, current_path=quick_path).compared == 1
+
+
+def _committed(bench):
+    return os.path.join(
+        os.path.dirname(__file__), os.pardir, f"BENCH_{bench}.json"
+    )
+
+
+def _size_fields(metrics):
+    return {k: v for k, v in metrics.items() if not isinstance(v, dict)}
+
+
+@pytest.mark.parametrize("bench", ["overlap", "ingest", "serve"])
+def test_quick_measurement_matches_the_committed_trajectory(bench):
+    latest = load_trajectory(_committed(bench))["entries"][-1]["metrics"]
+    measured = measure(bench, quick=True)
+    assert set(flatten_metrics(measured.metrics)) == set(flatten_metrics(latest))
+    assert _size_fields(measured.metrics) == _size_fields(latest)
+    assert measured.table.splitlines()[0].endswith(", quick)")
+
+
+@pytest.mark.parametrize("bench, compared", [
+    ("overlap", 4), ("ingest", 5), ("serve", 2),
+])
+def test_gate_measures_fresh_and_compares_every_committed_metric(
+    bench, compared
+):
+    # the verdict depends on this host's speed; the comparison must not
+    report = run_gate(_committed(bench), allow_machine_mismatch=True)
+    assert report.compared == compared
+    assert f"fresh quick {bench} run" in report.text
+
+
+def test_unknown_benches_have_no_quick_measurement(tmp_path):
+    with pytest.raises(ValueError, match="unknown bench 'fig2'"):
+        measure("fig2")
+    baseline = _trajectory(
+        tmp_path / "fig2.json", {"rounds_per_s": 1.0}, bench="fig2"
+    )
+    with pytest.raises(ValueError, match="pass --current"):
+        run_gate(baseline)
+
+
+def test_import_repro_leaves_the_bench_sweeps_unloaded():
+    # only the gate and the bench scripts need the sweeps; `import repro`,
+    # whose cost the repo benchmark reports as setup_s, must not load them
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import repro; "
+        f"assert 'repro.obs.benches' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
 
 
 def test_flatten_metrics_keeps_numeric_leaves_only():

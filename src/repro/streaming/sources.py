@@ -35,6 +35,7 @@ consumes.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 STREAM_KINDS = ("stationary", "abrupt", "gradual", "bursty")
+
+#: records generated (and jitters drawn) per array chunk; a speed knob
+#: only — no record depends on it
+_CHUNK = 256
 
 
 class StreamRecord(NamedTuple):
@@ -100,12 +105,22 @@ class StreamSource:
                 f"unknown stream kind {self.kind!r}; available: "
                 f"{', '.join(STREAM_KINDS)}"
             )
-        if self.n_records < 1:
-            raise ValueError("n_records must be >= 1")
+        if (
+            not isinstance(self.n_records, int)
+            or isinstance(self.n_records, bool)
+            or self.n_records < 1
+        ):
+            raise ValueError(
+                f"n_records must be an integer >= 1, got {self.n_records!r}"
+            )
         if not 0.0 < self.drift_at < 1.0:
             raise ValueError("drift_at must be in (0, 1)")
         if not 0.0 < self.transition <= 1.0:
             raise ValueError("transition must be in (0, 1]")
+        if not all(
+            map(math.isfinite, (self.rate, self.burst_factor, self.magnitude))
+        ):
+            raise ValueError("rate, burst_factor and magnitude must be finite")
         if self.rate <= 0 or self.burst_factor < 1.0:
             raise ValueError("rate must be positive and burst_factor >= 1")
         pool_std = self.pool.X.std(axis=0)
@@ -122,19 +137,25 @@ class StreamSource:
         return int(self.n_records * self.drift_at)
 
     # ------------------------------------------------------------------
-    # drift schedule
+    # drift and arrival schedules
     # ------------------------------------------------------------------
-    def _drift_weight(self, index: int) -> float:
-        """How much of the full shift applies to record ``index`` (0..1)."""
+    def _drift_weights(self, index: np.ndarray) -> np.ndarray:
+        """How much of the full shift applies to each record index (0..1)."""
         if self.kind in ("stationary", "bursty"):
-            return 0.0
+            return np.zeros(len(index))
         start = self.drift_index
-        if index < start:
-            return 0.0
         if self.kind == "abrupt":
-            return 1.0
+            return np.where(index < start, 0.0, 1.0)
         span = max(1, int(self.n_records * self.transition))
-        return min(1.0, (index - start) / span)
+        return np.where(index < start, 0.0, np.minimum(1.0, (index - start) / span))
+
+    def _gap_scales(self, index: np.ndarray) -> np.ndarray:
+        """Mean inter-arrival gap (``1 / rate``) before each record index."""
+        if self.kind != "bursty":
+            return np.full(len(index), 1.0 / self.rate)
+        # Alternate fast and slow segments of ~1/8 stream length.
+        fast = (index // max(1, self.n_records // 8)) % 2 == 0
+        return np.where(fast, 1.0 / (self.rate * self.burst_factor), 1.0 / self.rate)
 
     def __iter__(self) -> Iterator[StreamRecord]:
         rng = np.random.default_rng(self.seed)
@@ -147,26 +168,30 @@ class StreamSource:
         scale = np.where(scaled, 1.0 + 0.5 * self.magnitude / 1.5, 1.0)
         pool_mean = self.pool.X.mean(axis=0)
 
+        integers, exponential = rng.integers, rng.exponential
+        n_rows = self.pool.n_rows
         now = 0.0
-        burst_period = max(1, self.n_records // 8)
-        for index in range(self.n_records):
-            row = int(rng.integers(self.pool.n_rows))
-            x = self.pool.X[row].astype(float).copy()
-            y = int(self.pool.y[row])
-
-            weight = self._drift_weight(index)
-            if weight > 0.0:
-                effective_scale = 1.0 + weight * (scale - 1.0)
-                x = pool_mean + (x - pool_mean) * effective_scale + weight * shift
-
-            if self.kind == "bursty":
-                # Alternate fast and slow segments of ~1/8 stream length.
-                fast = (index // burst_period) % 2 == 0
-                rate = self.rate * self.burst_factor if fast else self.rate
-            else:
-                rate = self.rate
-            now += float(rng.exponential(1.0 / rate))
-            yield StreamRecord(x=x, y=y, time=now, seq=index)
+        for start in range(0, self.n_records, _CHUNK):
+            index = np.arange(start, min(start + _CHUNK, self.n_records))
+            # The row and gap draws share one generator, so they stay a
+            # per-record loop; the rest runs over the chunk with the same
+            # elementwise operations a per-record pass would make.
+            rows, times = [], []
+            for gap_scale in self._gap_scales(index).tolist():
+                rows.append(integers(n_rows))
+                now += float(exponential(gap_scale))
+                times.append(now)
+            x = self.pool.X[rows].astype(float)
+            weight = self._drift_weights(index)
+            drifted = weight > 0.0
+            if drifted.any():
+                w = weight[drifted, None]
+                effective_scale = 1.0 + w * (scale - 1.0)
+                x[drifted] = (
+                    pool_mean + (x[drifted] - pool_mean) * effective_scale + w * shift
+                )
+            labels = map(int, self.pool.y[rows].tolist())
+            yield from map(StreamRecord, x, labels, times, index.tolist())
 
 
 def skewed(
@@ -195,18 +220,25 @@ def skewed(
     Records without a stamped ``seq`` are stamped with their input order
     first, so any iterable of ``(x, y, time)``-style records works.
     """
-    if skew < 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
+    if not isinstance(skew, int) or isinstance(skew, bool) or skew < 0:
+        raise ValueError(f"skew must be an integer >= 0, got {skew!r}")
     if skew == 0:
         for index, record in enumerate(records):
             yield record if record.seq >= 0 else record._replace(seq=index)
         return
     rng = np.random.default_rng([abs(int(seed)), 0x5345_5153])
     heap: list = []
+    jitters: list = []
     for index, record in enumerate(records):
         if record.seq < 0:
             record = record._replace(seq=index)
-        key = index + int(rng.integers(skew + 1))
+        # An array draw of bounded integers yields the scalar draws' values
+        # and leaves the same generator state, so jitters come a chunk at
+        # a time.
+        offset = index % _CHUNK
+        if offset == 0:
+            jitters = rng.integers(skew + 1, size=_CHUNK).tolist()
+        key = index + jitters[offset]
         heapq.heappush(heap, (key, record.seq, record))
         # Every future record's key is > index, so entries keyed <= index
         # are final and can be delivered.

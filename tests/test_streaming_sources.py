@@ -1,9 +1,12 @@
 """Stream-source behaviour: determinism, drift schedules, arrival times."""
 
+import heapq
+
 import numpy as np
 import pytest
 
 from repro.datasets.registry import load_dataset
+from repro.streaming import sources
 from repro.streaming.sources import (
     STREAM_KINDS,
     StreamRecord,
@@ -140,6 +143,8 @@ def test_skewed_determinism_and_identity_cases():
     assert [r.seq for r in skewed(records, 0, seed=7)] == list(range(60))
     with pytest.raises(ValueError):
         list(skewed(records, -1))
+    with pytest.raises(ValueError):
+        next(skewed(records, 2.5))
 
 
 def test_skewed_stamps_unsequenced_records():
@@ -161,4 +166,124 @@ def test_validation_errors():
         StreamSource(name="x", kind="abrupt", pool=pool, n_records=10, drift_at=1.5)
     with pytest.raises(KeyError):
         make_stream("not-a-dataset", n_records=10)
+    # Parameters the generator cannot honour: a fractional length, and
+    # non-finite rates (equal or NaN event times) or drift magnitude.
+    for bad in (
+        {"n_records": 2.5},
+        {"rate": float("inf")},
+        {"rate": float("nan")},
+        {"burst_factor": float("nan")},
+        {"magnitude": float("nan")},
+    ):
+        with pytest.raises(ValueError):
+            make_stream("iris", **bad)
     assert STREAM_KINDS == ("stationary", "abrupt", "gradual", "bursty")
+
+
+# ----------------------------------------------------------------------
+# The per-record generators the chunked ones replaced are the reference:
+# every record must come out exactly as they made it.
+# ----------------------------------------------------------------------
+def reference_drift_weight(source, index):
+    if source.kind in ("stationary", "bursty"):
+        return 0.0
+    start = source.drift_index
+    if index < start:
+        return 0.0
+    if source.kind == "abrupt":
+        return 1.0
+    span = max(1, int(source.n_records * source.transition))
+    return min(1.0, (index - start) / span)
+
+
+def reference_records(source):
+    rng = np.random.default_rng(source.seed)
+    pool_std = source.pool.X.std(axis=0)
+    direction = rng.normal(size=source.dimension)
+    direction /= np.linalg.norm(direction)
+    shift = source.magnitude * np.where(pool_std > 0, pool_std, 1.0) * direction
+    scaled = rng.random(source.dimension) < (1.0 / 3.0)
+    scale = np.where(scaled, 1.0 + 0.5 * source.magnitude / 1.5, 1.0)
+    pool_mean = source.pool.X.mean(axis=0)
+
+    now = 0.0
+    burst_period = max(1, source.n_records // 8)
+    for index in range(source.n_records):
+        row = int(rng.integers(source.pool.n_rows))
+        x = source.pool.X[row].astype(float).copy()
+        y = int(source.pool.y[row])
+
+        weight = reference_drift_weight(source, index)
+        if weight > 0.0:
+            effective_scale = 1.0 + weight * (scale - 1.0)
+            x = pool_mean + (x - pool_mean) * effective_scale + weight * shift
+
+        if source.kind == "bursty":
+            fast = (index // burst_period) % 2 == 0
+            rate = source.rate * source.burst_factor if fast else source.rate
+        else:
+            rate = source.rate
+        now += float(rng.exponential(1.0 / rate))
+        yield StreamRecord(x=x, y=y, time=now, seq=index)
+
+
+def reference_skewed(records, skew, seed=0):
+    if skew == 0:
+        for index, record in enumerate(records):
+            yield record if record.seq >= 0 else record._replace(seq=index)
+        return
+    rng = np.random.default_rng([abs(int(seed)), 0x5345_5153])
+    heap = []
+    for index, record in enumerate(records):
+        if record.seq < 0:
+            record = record._replace(seq=index)
+        key = index + int(rng.integers(skew + 1))
+        heapq.heappush(heap, (key, record.seq, record))
+        while heap and heap[0][0] <= index:
+            yield heapq.heappop(heap)[2]
+    while heap:
+        yield heapq.heappop(heap)[2]
+
+
+def assert_same_records(got, expected):
+    assert len(got) == len(expected)
+    for record, reference in zip(got, expected):
+        assert record.x.dtype == reference.x.dtype
+        assert record.x.shape == reference.x.shape
+        assert record.x.tobytes() == reference.x.tobytes()
+        assert type(record.y) is type(reference.y) and record.y == reference.y
+        assert type(record.time) is type(reference.time)
+        assert record.time == reference.time
+        assert (record.seq, record.provider) == (reference.seq, reference.provider)
+
+
+CHUNK = sources._CHUNK
+
+
+@pytest.mark.parametrize("n_records", (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7))
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+@pytest.mark.parametrize("dataset", ("iris", "wine"))
+def test_records_match_the_per_record_reference(dataset, kind, n_records):
+    source = make_stream(dataset, kind=kind, n_records=n_records, seed=n_records)
+    expected = list(reference_records(source))
+    assert_same_records(list(source), expected)
+    for skew in (0, 1, 6, n_records + 5):
+        assert_same_records(
+            list(skewed(source, skew, seed=3)),
+            list(reference_skewed(expected, skew, seed=3)),
+        )
+
+
+@pytest.mark.parametrize("chunk", (1, 7))
+def test_records_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    monkeypatch.setattr(sources, "_CHUNK", chunk)
+    for kind in STREAM_KINDS:
+        source = make_stream(
+            "wine", kind=kind, n_records=45, seed=5, drift_at=0.3, transition=0.3
+        )
+        expected = list(reference_records(source))
+        assert_same_records(list(source), expected)
+        assert_same_records(
+            list(skewed(source, 6, seed=1)),
+            list(reference_skewed(expected, 6, seed=1)),
+        )

@@ -130,19 +130,24 @@ def _overlap(quick: bool) -> Measurement:
 
 
 def _ingest(quick: bool) -> Measurement:
-    """Bare ingest-plane records/sec and seal latency vs skew and watermark."""
+    """Bare ingest-plane records/sec and seal latency vs skew and watermark.
+
+    Arrivals go through :meth:`IngestPlane.push_chunk`, the entry point
+    sessions call, with a limit of one window so that each seal's lag is
+    read on the record that sealed it.
+    """
     from ..sharding import ShardPlan
-    from ..streaming import IngestPlane, make_stream, skewed
+    from ..streaming import IngestPlane, make_stream, skewed_chunks
 
     n_records, window_size = (4_000, 64) if quick else (20_000, 64)
     # Pre-draw the stream so the sweep times ingestion, not generation.
-    records = list(make_stream("wine", n_records=n_records, seed=0))
+    chunks = list(make_stream("wine", n_records=n_records, seed=0).chunks())
     metrics: Dict[str, Any] = {
         "n_records": n_records, "window_size": window_size, "quick": quick,
     }
     rows = []
     for skew, watermark in ((0, 0), (4, 4), (16, 16), (16, 0), (64, 16)):
-        arrivals = list(skewed(records, skew, seed=0)) if skew else records
+        arrivals = list(skewed_chunks(chunks, skew, seed=0))
         plane = IngestPlane(
             ShardPlan(4, "round_robin", n_parties=3),
             window_kind="tumbling",
@@ -153,15 +158,18 @@ def _ingest(quick: bool) -> Measurement:
         )
         seal_lags = []
         began = time.perf_counter()
-        for record in arrivals:
-            for window in plane.push(record):
-                # Event-space seal latency: how far the frontier had to run
-                # past the window's end before it sealed.
-                seal_lags.append(
-                    plane.frontier - plane.assigner.last_seq(window.index)
-                )
+        for chunk in arrivals:
+            while len(chunk):
+                sealed, used = plane.push_chunk(chunk, 1)
+                chunk = chunk[used:]
+                for window in sealed:
+                    # Event-space seal latency: how far the frontier had
+                    # to run past the window's end before it sealed.
+                    seal_lags.append(
+                        plane.frontier - plane.assigner.last_seq(window.index)
+                    )
         plane.finish()
-        rate = len(records) / (time.perf_counter() - began)
+        rate = n_records / (time.perf_counter() - began)
         lag = sum(seal_lags) / len(seal_lags) if seal_lags else 0.0
         stats = plane.stats()
         metrics[f"skew={skew},watermark={watermark}"] = {

@@ -49,7 +49,16 @@ from .online_miner import (
     ReservoirKNN,
     make_online_classifier,
 )
-from .sources import STREAM_KINDS, StreamRecord, StreamSource, make_stream, skewed
+from .sources import (
+    STREAM_KINDS,
+    RecordChunk,
+    StreamRecord,
+    StreamSource,
+    chunked,
+    make_stream,
+    skewed,
+    skewed_chunks,
+)
 from .stream_session import (
     ReadaptationEvent,
     StreamConfig,
@@ -103,10 +112,13 @@ __all__ = [
     "ONLINE_CLASSIFIERS",
     # sources
     "StreamRecord",
+    "RecordChunk",
     "StreamSource",
     "STREAM_KINDS",
     "make_stream",
+    "chunked",
     "skewed",
+    "skewed_chunks",
     # session
     "TrustChange",
     "StreamConfig",

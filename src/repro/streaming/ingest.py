@@ -47,11 +47,18 @@ are handled by one of three late policies (:data:`LATE_POLICIES`):
 With an in-order stream and ``watermark_delay=0`` the plane reproduces the
 legacy buffers' windows bit-for-bit, which is how the whole redesign stays
 fingerprint-compatible.
+
+Records arrive as array chunks (:meth:`IngestPlane.push_chunk`;
+:meth:`IngestPlane.push` is the one-record case).  Between two seal events
+the seal index does not change, so lateness, the late policy and window
+membership are array operations over the run of records between them, and
+open windows buffer row runs that a seal concatenates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,7 +66,7 @@ import numpy as np
 from ..checkpoint.codec import register
 from ..obs import ingest_collector
 from ..sharding.plan import ShardPlan
-from .sources import StreamRecord
+from .sources import RecordChunk, StreamRecord
 from .windows import EventWindowAssigner, Window
 
 __all__ = [
@@ -73,8 +80,8 @@ __all__ = [
 #: what to do with a record that arrives after its window sealed
 LATE_POLICIES = ("drop", "readmit", "upsert")
 
-#: one buffered row: (seq, x, y, event_time)
-_Row = Tuple[int, np.ndarray, Any, float]
+#: the gate counter each late policy charges besides ``late``
+_POLICY_COUNTERS = {"drop": "dropped", "readmit": "readmitted", "upsert": "upserted"}
 
 
 @register
@@ -148,13 +155,27 @@ class IngestStats:
 
 
 class _OpenWindow:
-    """One not-yet-sealed window's accumulating rows."""
+    """One not-yet-sealed window's accumulating row runs, in arrival order."""
 
     __slots__ = ("rows", "readmitted")
 
     def __init__(self) -> None:
-        self.rows: List[_Row] = []
-        self.readmitted: List[_Row] = []
+        self.rows: List[RecordChunk] = []
+        self.readmitted: List[RecordChunk] = []
+
+
+def _ordered(parts: List[RecordChunk]) -> RecordChunk:
+    """Buffered runs as one new chunk, stably ordered by sequence number.
+
+    Only runs that arrived out of order are sorted: a stable numpy sort
+    releases the GIL, which can cost a threaded caller a whole switch
+    interval.
+    """
+    rows = RecordChunk.concat(parts)
+    seq = rows.seq
+    if (seq[1:] < seq[:-1]).any():
+        rows = rows[np.argsort(seq, kind="stable")]
+    return rows
 
 
 class ShardIngest:
@@ -170,12 +191,14 @@ class ShardIngest:
         self.index = index
         self.open: Dict[int, _OpenWindow] = {}
 
-    def insert(self, window_index: int, row: _Row, readmitted: bool = False) -> None:
-        """Buffer one row for an open window this shard owns."""
+    def insert(
+        self, window_index: int, rows: RecordChunk, readmitted: bool = False
+    ) -> None:
+        """Buffer a run of rows for an open window this shard owns."""
         bucket = self.open.get(window_index)
         if bucket is None:
             bucket = self.open[window_index] = _OpenWindow()
-        (bucket.readmitted if readmitted else bucket.rows).append(row)
+        (bucket.readmitted if readmitted else bucket.rows).append(rows)
 
     def pop(self, window_index: int) -> Optional[_OpenWindow]:
         """Remove and return the window's buffered rows (None if empty)."""
@@ -225,8 +248,14 @@ class IngestPlane:
         late_policy: str = "drop",
         telemetry: Optional[Any] = None,
     ) -> None:
-        if watermark_delay < 0:
-            raise ValueError(f"watermark_delay must be >= 0, got {watermark_delay}")
+        if (
+            not isinstance(watermark_delay, int)
+            or isinstance(watermark_delay, bool)
+            or watermark_delay < 0
+        ):
+            raise ValueError(
+                f"watermark_delay must be an integer >= 0, got {watermark_delay!r}"
+            )
         if late_policy not in LATE_POLICIES:
             raise ValueError(
                 f"unknown late policy {late_policy!r}; available: "
@@ -246,8 +275,9 @@ class IngestPlane:
         self.frontier = -1
         self.next_seal = 0
         self._next_seq = 0
-        self._corrections: Dict[int, List[_Row]] = {}
+        self._corrections: Dict[int, List[RecordChunk]] = {}
         self._revisions: Dict[int, int] = {}
+        self._dim: Optional[int] = None
         self._finished = False
         self._telemetry = telemetry
         self._m_sealed = None
@@ -301,55 +331,166 @@ class IngestPlane:
         Returns the windows the arrival sealed (often none, sometimes
         several).  Regular windows appear in strictly increasing index
         order; under ``upsert`` a correction (``revision >= 1``) for an
-        earlier index may precede them in the same batch.
+        earlier index may precede them in the same batch.  This is a
+        one-record :meth:`push_chunk`.
         """
         if self._finished:
             raise RuntimeError("ingest plane already finished")
+        for name in ("seq", "provider"):
+            value = getattr(record, name)
+            if (
+                not isinstance(value, (int, np.integer))
+                or isinstance(value, bool)
+                or value < -1
+            ):
+                raise ValueError(
+                    f"record {name} must be an integer >= 0, or -1 for "
+                    f"unset, got {value!r}"
+                )
         seq = record.seq if record.seq >= 0 else self._next_seq
-        provider = record.provider if record.provider >= 0 else seq % self.k
-        if not 0 <= provider < self.k:
-            raise ValueError(
-                f"record names provider {provider}, but only {self.k} "
-                f"gates exist"
-            )
-        gate = self.gates[provider]
-        gate.observe(max(0, self.frontier - seq))
-
-        row: _Row = (
-            seq,
-            np.asarray(record.x, dtype=float).ravel(),
-            record.y,
-            float(record.time),
+        chunk = RecordChunk(
+            np.asarray(record.x, dtype=float).reshape(1, -1),
+            np.asarray([record.y]),
+            np.asarray([float(record.time)]),
+            np.asarray([seq], dtype=np.int64),
+            np.asarray([record.provider], dtype=np.int64),
         )
-        home = self.assigner.fresh_home(seq)
-        skip = -1
-        if home < self.next_seal:
-            # The window where this record would have been fresh is gone.
-            gate.late += 1
-            if self.late_policy == "drop":
-                gate.dropped += 1
-            elif self.late_policy == "readmit":
-                gate.readmitted += 1
-                owner = self.plan.shard_of_window(self.next_seal)
-                self.shards[owner].insert(self.next_seal, row, readmitted=True)
-                skip = self.next_seal  # the readmitted copy is already there
-            else:  # upsert
-                gate.upserted += 1
-                self._corrections.setdefault(home, []).append(row)
-        # Fresh or late, the record is still a member of every open window
+        return self.push_chunk(chunk)[0]
+
+    def push_chunk(
+        self, chunk: RecordChunk, limit: Optional[int] = None
+    ) -> Tuple[List[Window], int]:
+        """Ingest a run of records, in order, as :meth:`push` would one by one.
+
+        Stops after the record whose seal brings the windows this call
+        emitted to ``limit`` (``None``: no limit), or at the chunk's end.
+        Returns the sealed windows and how many records were consumed;
+        the caller passes the rest again to continue.
+        """
+        if self._finished:
+            raise RuntimeError("ingest plane already finished")
+        n = len(chunk)
+        if n == 0:
+            return [], 0
+        self._check(chunk)
+        seq = chunk.seq
+        provider = np.where(chunk.provider >= 0, chunk.provider, seq % self.k)
+        chunk = RecordChunk(chunk.x, chunk.y, chunk.time, seq, provider)
+        frontier = self.frontier
+        after = np.maximum(np.maximum.accumulate(seq), frontier)
+        fronts = after.tolist()
+        sealed: List[Window] = []
+        done = 0
+        while True:
+            # Between seal events ``next_seal`` stays put, so the records
+            # up to the next event are buffered as one run.  The event is
+            # the first record whose arrival moves the watermark past the
+            # end of window ``next_seal``.
+            event = bisect_right(
+                fronts,
+                self.assigner.last_seq(self.next_seal) + self.watermark_delay,
+                done,
+            )
+            self._absorb(chunk[done : event + 1])
+            if event >= n:
+                done = n
+                break
+            done = event + 1
+            self.frontier = fronts[event]
+            sealed.extend(
+                self._seal_before(self.assigner.windows_ending_before(self.watermark))
+            )
+            if done == n or (limit is not None and len(sealed) >= limit):
+                break
+        # Arrival counters of the consumed records: a record's lateness is
+        # how far the frontier ran ahead of it when it arrived.
+        lateness = np.zeros(self.k, dtype=np.int64)
+        np.maximum.at(
+            lateness, provider[:done],
+            np.concatenate([[frontier], after[: done - 1]]) - seq[:done],
+        )
+        counts = np.bincount(provider[:done], minlength=self.k).tolist()
+        for gate, count, skew in zip(self.gates, counts, lateness.tolist()):
+            gate.records += count
+            gate.max_skew = max(gate.max_skew, skew)
+        self.frontier = fronts[done - 1]
+        self._next_seq = max(self._next_seq, self.frontier + 1)
+        return sealed, done
+
+    def _check(self, chunk: RecordChunk) -> None:
+        """Refuse a chunk holding a record the plane cannot honour."""
+        seq, x, provider = chunk.seq, chunk.x, chunk.provider
+        if seq.dtype.kind != "i" or provider.dtype.kind != "i" or x.ndim != 2:
+            raise ValueError(
+                "record chunks need integer seq and provider arrays and 2-D features"
+            )
+        dim = x.shape[1] if self._dim is None else self._dim
+        bad = (seq < 0) | (provider < -1) | (provider >= self.k)
+        bad |= ~np.isfinite(chunk.time)
+        if bad.any() or x.shape[1] != dim:
+            first = int(np.argmax(bad))
+            raise ValueError(
+                f"record seq {seq[first]} (provider {provider[first]}, time "
+                f"{chunk.time[first]}, {x.shape[1]} features) refused: records "
+                f"need a stamped seq >= 0, a provider in -1..{self.k - 1}, a "
+                f"finite event time and {dim} features"
+            )
+        self._dim = dim
+
+    def _absorb(self, rows: RecordChunk) -> None:
+        """Buffer a run of records that arrived while ``next_seal`` stood."""
+        assigner, first_open = self.assigner, self.next_seal
+        seq = rows.seq
+        fresh_start = assigner.fresh_start(first_open)
+        late = np.flatnonzero(seq < fresh_start)
+        if len(late):
+            # Their fresh windows are gone.
+            self._late(rows[late])
+        # Fresh or late, a record is still a member of every open window
         # that overlaps its sequence number (sliding windows with
         # step < size): insert it there so window contents keep matching
         # the sorted event stream even when the fresh emission was missed.
-        for index in self.assigner.windows_of_seq(seq):
-            if index >= self.next_seal and index != skip:
-                owner = self.plan.shard_of_window(index)
-                self.shards[owner].insert(index, row)
+        # A readmitted record's copy in ``first_open`` is already there.
+        step, size = assigner.step, assigner.size
+        reach = (size - 1) // step
+        indices = sorted({
+            index
+            for top in set((seq // step).tolist())
+            for index in range(max(first_open, top - reach), top + 1)
+        })
+        # In-order runs (every run of an in-order stream) split by
+        # bisection; others by masks, keeping arrival order in each part.
+        ordered = seq.tolist() if not (seq[1:] < seq[:-1]).any() else None
+        for index in indices:
+            low, high = index * step, index * step + size - 1
+            if index == first_open and self.late_policy == "readmit":
+                low = fresh_start
+            if ordered is not None:
+                start, stop = bisect_left(ordered, low), bisect_right(ordered, high)
+                if start == stop:
+                    continue
+                part = rows[start:stop]
+            else:
+                hits = np.flatnonzero((seq >= low) & (seq <= high))
+                if not len(hits):
+                    continue
+                part = rows[hits]
+            self.shards[self.plan.shard_of_window(index)].insert(index, part)
 
-        if seq > self.frontier:
-            self.frontier = seq
-        if seq >= self._next_seq:
-            self._next_seq = seq + 1
-        return self._seal_ready()
+    def _late(self, rows: RecordChunk) -> None:
+        """Count late records per provider and apply the late policy."""
+        counter = _POLICY_COUNTERS[self.late_policy]
+        for provider in rows.provider.tolist():
+            gate = self.gates[provider]
+            gate.late += 1
+            setattr(gate, counter, getattr(gate, counter) + 1)
+        if self.late_policy == "readmit":
+            owner = self.plan.shard_of_window(self.next_seal)
+            self.shards[owner].insert(self.next_seal, rows, readmitted=True)
+        elif self.late_policy == "upsert":
+            homes = np.array([self.assigner.fresh_home(s) for s in rows.seq.tolist()])
+            for home in dict.fromkeys(homes.tolist()):
+                self._corrections.setdefault(home, []).append(rows[homes == home])
 
     def finish(self, emit_partial_tail: bool = True) -> List[Window]:
         """Seal everything still open: the stream is over.
@@ -368,13 +509,9 @@ class IngestPlane:
         if self._finished:
             return []
         self._finished = True
-        sealed: List[Window] = []
-        while self.assigner.last_seq(self.next_seal) <= self.frontier:
-            sealed.extend(self._flush_corrections())
-            window = self._seal(self.next_seal)
-            self.next_seal += 1
-            if window is not None:
-                sealed.append(window)
+        sealed = self._seal_before(
+            self.assigner.windows_ending_before(self.frontier + 1)
+        )
         sealed.extend(self._flush_corrections())
         tail = self._seal(self.next_seal, readmitted_only=not emit_partial_tail)
         self.next_seal += 1
@@ -387,15 +524,23 @@ class IngestPlane:
     # ------------------------------------------------------------------
     # sealing
     # ------------------------------------------------------------------
-    def _seal_ready(self) -> List[Window]:
-        """Seal every window the watermark has passed, in index order."""
-        sealed: List[Window] = []
-        while self.watermark > self.assigner.last_seq(self.next_seal):
-            sealed.extend(self._flush_corrections())
-            window = self._seal(self.next_seal)
-            self.next_seal += 1
+    def _seal_before(self, end: int) -> List[Window]:
+        """Seal every window below index ``end``, in index order.
+
+        Only windows holding rows are visited, so the cost does not grow
+        with the gap a jump in sequence numbers leaves.
+        """
+        if end <= self.next_seal:
+            return []
+        sealed = self._flush_corrections()
+        due = sorted(
+            index for shard in self.shards for index in shard.open if index < end
+        )
+        for index in due:
+            window = self._seal(index)
             if window is not None:
                 sealed.append(window)
+        self.next_seal = end
         return sealed
 
     def _seal(self, index: int, readmitted_only: bool = False) -> Optional[Window]:
@@ -413,17 +558,19 @@ class IngestPlane:
         bucket = self.shards[owner].pop(index)
         if bucket is None:
             return None
-        readmitted = sorted(bucket.readmitted, key=lambda row: row[0])
-        if readmitted_only:
-            if not readmitted:
-                return None
-            return self._build(index, readmitted, len(readmitted), revision=0)
-        rows = sorted(bucket.rows, key=lambda row: row[0])
-        fresh_start = self.assigner.fresh_start(index)
-        fresh = sum(1 for row in rows if row[0] >= fresh_start) + len(readmitted)
+        fresh = 0
+        parts = []
+        if bucket.rows and not readmitted_only:
+            rows = _ordered(bucket.rows)
+            fresh = np.count_nonzero(rows.seq >= self.assigner.fresh_start(index))
+            parts.append(rows)
+        if bucket.readmitted:
+            parts.append(_ordered(bucket.readmitted))
+            fresh += len(parts[-1])
         if fresh == 0:
             return None
-        return self._build(index, rows + readmitted, fresh, revision=0)
+        rows = parts[0] if len(parts) == 1 else RecordChunk.concat(parts)
+        return self._build(index, rows, int(fresh), revision=0)
 
     def _flush_corrections(self) -> List[Window]:
         """Emit pending ``upsert`` corrections, oldest window first."""
@@ -431,14 +578,14 @@ class IngestPlane:
             return []
         out: List[Window] = []
         for index in sorted(self._corrections):
-            rows = sorted(self._corrections.pop(index), key=lambda row: row[0])
+            rows = _ordered(self._corrections.pop(index))
             revision = self._revisions.get(index, 0) + 1
             self._revisions[index] = revision
             out.append(self._build(index, rows, len(rows), revision=revision))
         return out
 
     def _build(
-        self, index: int, rows: List[_Row], fresh: int, revision: int
+        self, index: int, rows: RecordChunk, fresh: int, revision: int
     ) -> Window:
         tel = self._telemetry
         if tel is not None:
@@ -456,11 +603,11 @@ class IngestPlane:
                     ),
                     late=sum(gate.late for gate in self.gates),
                 ).end()
-        times = [row[3] for row in rows]
+        times = rows.time.tolist()
         return Window(
             index=index,
-            X=np.vstack([row[1] for row in rows]),
-            y=np.asarray([row[2] for row in rows]),
+            X=rows.x,
+            y=rows.y,
             start=min(times),
             end=max(times),
             fresh=fresh,

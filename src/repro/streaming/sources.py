@@ -30,14 +30,31 @@ record more than ``skew`` sequence numbers ahead of it has arrived yet
 (observed lateness ``<= skew``), which is exactly the bounded-lateness
 contract the watermark of :class:`repro.streaming.ingest.IngestPlane`
 consumes.
+
+Records are generated, skewed and ingested in array chunks
+(:class:`RecordChunk`, from :meth:`StreamSource.chunks` and
+:func:`skewed_chunks`).  Iterating a source only flattens its chunks into
+:class:`StreamRecord` tuples; :func:`skewed` applies the same delivery
+order to plain records, and :func:`chunked` packs any record stream into
+chunks.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -46,9 +63,12 @@ from ..datasets.schema import Dataset
 
 __all__ = [
     "StreamRecord",
+    "RecordChunk",
     "StreamSource",
     "make_stream",
+    "chunked",
     "skewed",
+    "skewed_chunks",
     "STREAM_KINDS",
 ]
 
@@ -76,6 +96,59 @@ class StreamRecord(NamedTuple):
     time: float
     seq: int = -1
     provider: int = -1
+
+
+class RecordChunk:
+    """A run of stream events held as arrays: the bulk form of records.
+
+    Row ``i`` is the event ``StreamRecord(x[i], y[i], time[i], seq[i],
+    provider[i])``: ``x`` is ``(n, d)`` float, the others are length
+    ``n``.  Sequence numbers are stamped (``>= 0``); ``provider`` defaults
+    to all ``-1`` (the consumer's round-robin attribution).  Indexing with
+    a slice selects rows as views, with an index array as copies.
+    """
+
+    __slots__ = ("x", "y", "time", "seq", "provider")
+
+    def __init__(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        time: np.ndarray,
+        seq: np.ndarray,
+        provider: Optional[np.ndarray] = None,
+    ) -> None:
+        self.x = x
+        self.y = y
+        self.time = time
+        self.seq = seq
+        self.provider = np.full(len(seq), -1) if provider is None else provider
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, rows: Union[slice, np.ndarray]) -> "RecordChunk":
+        return RecordChunk(
+            self.x[rows], self.y[rows], self.time[rows], self.seq[rows],
+            self.provider[rows],
+        )
+
+    @staticmethod
+    def concat(chunks: Sequence["RecordChunk"]) -> "RecordChunk":
+        """A new chunk holding ``chunks``' rows in order (always a copy)."""
+        return RecordChunk(
+            *(
+                np.concatenate([getattr(chunk, name) for chunk in chunks])
+                for name in RecordChunk.__slots__
+            )
+        )
+
+    def records(self) -> Iterator[StreamRecord]:
+        """The rows as :class:`StreamRecord` tuples (``x`` a row view)."""
+        return map(
+            StreamRecord, self.x, self.y.tolist(), self.time.tolist(),
+            self.seq.tolist(), self.provider.tolist(),
+        )
 
 
 @dataclass
@@ -158,6 +231,11 @@ class StreamSource:
         return np.where(fast, 1.0 / (self.rate * self.burst_factor), 1.0 / self.rate)
 
     def __iter__(self) -> Iterator[StreamRecord]:
+        for chunk in self.chunks():
+            yield from chunk.records()
+
+    def chunks(self) -> Iterator[RecordChunk]:
+        """The stream as :class:`RecordChunk` runs of up to ``_CHUNK`` rows."""
         rng = np.random.default_rng(self.seed)
         # Fixed drift geometry for the whole stream: a unit direction in
         # pooled-sigma units plus a mild scale change on ~1/3 of columns.
@@ -190,8 +268,78 @@ class StreamSource:
                 x[drifted] = (
                     pool_mean + (x[drifted] - pool_mean) * effective_scale + w * shift
                 )
-            labels = map(int, self.pool.y[rows].tolist())
-            yield from map(StreamRecord, x, labels, times, index.tolist())
+            labels = self.pool.y[rows].astype(np.int64)
+            yield RecordChunk(x, labels, np.array(times), index)
+
+
+def chunked(records: Iterable[StreamRecord]) -> Iterator[RecordChunk]:
+    """Pack any record stream into :class:`RecordChunk` runs.
+
+    An unstamped record (``seq == -1``) is stamped the way the ingestion
+    plane stamps one: one past the largest sequence number before it.
+    """
+    stream = iter(records)
+    next_seq = 0
+    while True:
+        batch = list(itertools.islice(stream, _CHUNK))
+        if not batch:
+            return
+        seqs = []
+        for record in batch:
+            seq = next_seq if record.seq == -1 else record.seq
+            next_seq = max(next_seq, seq + 1)
+            seqs.append(seq)
+        yield RecordChunk(
+            np.array([np.asarray(r.x, dtype=float).ravel() for r in batch]),
+            np.asarray([r.y for r in batch]),
+            np.array([float(r.time) for r in batch]),
+            np.array(seqs),
+            np.array([r.provider for r in batch]),
+        )
+
+
+def _check_skew(skew: int) -> None:
+    if not isinstance(skew, int) or isinstance(skew, bool) or skew < 0:
+        raise ValueError(f"skew must be an integer >= 0, got {skew!r}")
+
+
+def _deliver(
+    tables: Iterable[Tuple[np.ndarray, Any]],
+    skew: int,
+    seed: int,
+    join: Callable[[Any, Any], Any],
+) -> Iterator[Any]:
+    """Re-order ``(seq, rows)`` runs in delivery order, carrying the rest.
+
+    Arrival ``i`` is keyed ``i + jitter`` and delivered in ``(key, seq)``
+    order once no later arrival can precede it; ``rows`` is any table
+    indexable by row positions and ``join`` concatenates two of them.
+    """
+    rng = np.random.default_rng([abs(int(seed)), 0x5345_5153])
+    held = held_keys = held_seq = None
+    arrived = 0
+    for seq, rows in tables:
+        # An array draw of bounded integers yields the scalar draws' values
+        # and leaves the same generator state, so keys do not depend on
+        # how the stream is cut into runs.
+        keys = np.arange(arrived, arrived + len(seq)) + rng.integers(
+            skew + 1, size=len(seq)
+        )
+        arrived += len(seq)
+        if held is not None:
+            keys = np.concatenate([held_keys, keys])
+            seq = np.concatenate([held_seq, seq])
+            rows = join(held, rows)
+        # Every later arrival's key is >= ``arrived``, so entries keyed
+        # below it are final.
+        ready = keys < arrived
+        out = np.flatnonzero(ready)
+        if len(out):
+            yield rows[out[np.lexsort((seq[out], keys[out]))]]
+        rest = np.flatnonzero(~ready)
+        held, held_keys, held_seq = rows[rest], keys[rest], seq[rest]
+    if held is not None and len(held):
+        yield held[np.lexsort((held_seq, held_keys))]
 
 
 def skewed(
@@ -202,11 +350,12 @@ def skewed(
     """Re-order an event stream with a hard bounded displacement.
 
     A deterministic out-of-order transport simulator: each record is
-    assigned a delivery key ``seq + jitter`` with ``jitter`` drawn
-    uniformly from ``{0, ..., skew}``, and records are delivered in key
-    order (ties broken by ``seq``, so ``skew=0`` is the identity).  Event
-    times, labels, providers, and sequence numbers travel unchanged —
-    only the *arrival order* is scrambled.
+    assigned a delivery key ``index + jitter`` (``index`` is its input
+    position) with ``jitter`` drawn uniformly from ``{0, ..., skew}``, and
+    records are delivered in key order (ties broken by ``seq``, so
+    ``skew=0`` is the identity).  Event times, labels, providers, and
+    sequence numbers travel unchanged — only the *arrival order* is
+    scrambled.
 
     Guarantees, both deterministic under ``seed``:
 
@@ -219,33 +368,47 @@ def skewed(
 
     Records without a stamped ``seq`` are stamped with their input order
     first, so any iterable of ``(x, y, time)``-style records works.
+    :func:`skewed_chunks` delivers the same order over record chunks.
     """
-    if not isinstance(skew, int) or isinstance(skew, bool) or skew < 0:
-        raise ValueError(f"skew must be an integer >= 0, got {skew!r}")
+    _check_skew(skew)
     if skew == 0:
         for index, record in enumerate(records):
             yield record if record.seq >= 0 else record._replace(seq=index)
         return
-    rng = np.random.default_rng([abs(int(seed)), 0x5345_5153])
-    heap: list = []
-    jitters: list = []
-    for index, record in enumerate(records):
-        if record.seq < 0:
-            record = record._replace(seq=index)
-        # An array draw of bounded integers yields the scalar draws' values
-        # and leaves the same generator state, so jitters come a chunk at
-        # a time.
-        offset = index % _CHUNK
-        if offset == 0:
-            jitters = rng.integers(skew + 1, size=_CHUNK).tolist()
-        key = index + jitters[offset]
-        heapq.heappush(heap, (key, record.seq, record))
-        # Every future record's key is > index, so entries keyed <= index
-        # are final and can be delivered.
-        while heap and heap[0][0] <= index:
-            yield heapq.heappop(heap)[2]
-    while heap:
-        yield heapq.heappop(heap)[2]
+
+    def runs() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        stream = iter(records)
+        arrived = 0
+        while True:
+            batch = list(itertools.islice(stream, _CHUNK))
+            if not batch:
+                return
+            table = np.empty(len(batch), dtype=object)
+            for offset, record in enumerate(batch, arrived):
+                if record.seq < 0:
+                    record = record._replace(seq=offset)
+                table[offset - arrived] = record
+            arrived += len(batch)
+            yield np.array([record.seq for record in table]), table
+
+    for table in _deliver(runs(), skew, seed, lambda a, b: np.concatenate([a, b])):
+        yield from table.tolist()
+
+
+def skewed_chunks(
+    chunks: Iterable[RecordChunk],
+    skew: int,
+    seed: int = 0,
+) -> Iterator[RecordChunk]:
+    """:func:`skewed` over record chunks: the same arrival order, in chunks."""
+    _check_skew(skew)
+    if skew == 0:
+        yield from chunks
+        return
+    yield from _deliver(
+        ((chunk.seq, chunk) for chunk in chunks), skew, seed,
+        lambda a, b: RecordChunk.concat([a, b]),
+    )
 
 
 def make_stream(

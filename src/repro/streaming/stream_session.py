@@ -57,7 +57,6 @@ analogue of the paper's Figures 5/6.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -105,7 +104,7 @@ from .online_miner import (
     ReservoirKNN,
     make_online_classifier,
 )
-from .sources import StreamSource, skewed
+from .sources import RecordChunk, StreamSource, chunked, skewed, skewed_chunks
 from .windows import WINDOW_KINDS, Window
 
 __all__ = [
@@ -878,6 +877,28 @@ def _restore_miner(miner: Any, state: Dict[str, Any]) -> None:
 _GATE_COUNTERS = ("records", "late", "dropped", "readmitted", "upserted", "max_skew")
 
 
+def _rows(parts: List[RecordChunk]) -> List[Tuple[int, np.ndarray, Any, float]]:
+    """Buffered runs as the checkpoint's ``(seq, x, y, time)`` rows."""
+    return [
+        row
+        for part in parts
+        for row in zip(part.seq.tolist(), part.x, part.y.tolist(), part.time.tolist())
+    ]
+
+
+def _runs(rows: List[Tuple[int, np.ndarray, Any, float]]) -> List[RecordChunk]:
+    """Checkpoint rows back as one buffered run (none for no rows)."""
+    if not rows:
+        return []
+    seq, x, y, times = zip(*rows)
+    return [
+        RecordChunk(
+            np.array(x, dtype=float), np.array(y), np.array(times, dtype=float),
+            np.array(seq, dtype=np.int64),
+        )
+    ]
+
+
 def _ingest_state(plane: IngestPlane) -> Dict[str, Any]:
     return {
         "frontier": plane.frontier,
@@ -889,13 +910,13 @@ def _ingest_state(plane: IngestPlane) -> Dict[str, Any]:
         ],
         "shards": [
             {
-                index: (list(bucket.rows), list(bucket.readmitted))
+                index: (_rows(bucket.rows), _rows(bucket.readmitted))
                 for index, bucket in shard.open.items()
             }
             for shard in plane.shards
         ],
         "corrections": {
-            index: list(rows) for index, rows in plane._corrections.items()
+            index: _rows(parts) for index, parts in plane._corrections.items()
         },
         "revisions": dict(plane._revisions),
     }
@@ -911,12 +932,12 @@ def _restore_ingest(plane: IngestPlane, state: Dict[str, Any]) -> None:
     for shard, buckets in zip(plane.shards, state["shards"]):
         shard.open.clear()
         for index, (rows, readmitted) in buckets.items():
-            for row in rows:
-                shard.insert(int(index), row)
-            for row in readmitted:
-                shard.insert(int(index), row, readmitted=True)
+            for run in _runs(rows):
+                shard.insert(int(index), run)
+            for run in _runs(readmitted):
+                shard.insert(int(index), run, readmitted=True)
     plane._corrections = {
-        int(index): list(rows) for index, rows in state["corrections"].items()
+        int(index): _runs(rows) for index, rows in state["corrections"].items()
     }
     plane._revisions = {
         int(index): int(revision)
@@ -1676,25 +1697,38 @@ def _execute_stream_session(
         # Providers push records through their gates; the driver no longer
         # pulls into a global buffer.  ``skew`` simulates an out-of-order
         # transport, deterministically under the session seed.
-        arrivals = (
-            skewed(source, config.skew, seed=config.seed)
-            if config.skew
-            else source
-        )
-        if records:
-            # Resuming: the source (and the skew shuffler) regenerate the
-            # same arrival order from their seeds, so skipping the already
-            # ingested prefix replays the stream from the exact record the
-            # checkpoint stopped at.
-            arrivals = itertools.islice(arrivals, records, None)
+        if hasattr(source, "chunks"):
+            arrivals = skewed_chunks(source.chunks(), config.skew, seed=config.seed)
+        else:
+            # Any iterable of records is a source; it travels packed.
+            arrivals = chunked(
+                skewed(source, config.skew, seed=config.seed)
+                if config.skew
+                else source
+            )
+        # Resuming: the source (and the skew shuffler) regenerate the same
+        # arrival order from their seeds, so skipping the already ingested
+        # prefix replays the stream from the exact record the checkpoint
+        # stopped at.
+        skip = records
         # Checkpoint progress is measured in windows *fed* to the pipeline
         # (``window_stats`` lags while rounds are in flight); after the
         # pre-checkpoint drain the two counts coincide.
         windows_fed = len(window_stats)
-        for record in arrivals:
-            records += 1
-            pending.extend(plane.push(record))
-            if len(pending) >= config.shards:
+        for chunk in arrivals:
+            if skip >= len(chunk):
+                skip -= len(chunk)
+                continue
+            chunk, skip = chunk[skip:], 0
+            while len(chunk):
+                # The limit stops ingestion on the record a per-record
+                # driver would have fed a round after.
+                sealed, used = plane.push_chunk(chunk, config.shards - len(pending))
+                records += used
+                chunk = chunk[used:]
+                pending.extend(sealed)
+                if len(pending) < config.shards:
+                    continue
                 windows_fed += len(pending)
                 feed(pending)
                 pending = []

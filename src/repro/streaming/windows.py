@@ -293,6 +293,10 @@ class EventWindowAssigner:
         """Last (inclusive) sequence number of window ``index``."""
         return self.start_seq(index) + self.size - 1
 
+    def windows_ending_before(self, seq: int) -> int:
+        """How many windows end (``last_seq``) strictly below ``seq``."""
+        return max(0, (seq - self.size) // self.step + 1)
+
     def fresh_start(self, index: int) -> int:
         """First sequence number that is *fresh* in window ``index``."""
         if index == 0:

@@ -12,6 +12,8 @@ The properties pinned here are the redesign's contract:
   surviving record is fresh in exactly one emitted window.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -316,3 +318,69 @@ def test_validation_and_lifecycle():
     )
     with pytest.raises(ValueError, match="provider"):
         make_plane().push(bad_provider)
+
+    # A fractional or boolean delay is refused, as StreamConfig refuses it.
+    for delay in (1.5, True):
+        with pytest.raises(ValueError, match="watermark_delay"):
+            make_plane(delay=delay)
+
+    # Records the plane cannot honour are refused at push, before they
+    # touch any counter or window: non-finite event times (they would
+    # skew the window's start/end), providers and sequence numbers below
+    # the -1 that means "unset", and fractional sequence numbers.
+    def record(**fields):
+        return StreamRecord(**{"x": np.array([0.0]), "y": 0, "time": 0.0,
+                               "seq": 0, **fields})
+
+    for bad in (
+        {"time": float("nan")},
+        {"time": float("inf")},
+        {"provider": -2},
+        {"seq": -2},
+        {"seq": 2.5},
+    ):
+        plane = make_plane()
+        with pytest.raises(ValueError):
+            plane.push(record(**bad))
+        assert plane.stats().records == 0 and plane.open_windows == 0
+    # A record whose feature count differs from the plane's is refused
+    # at push, naming the record, not at its window's seal.
+    plane = make_plane()
+    plane.push(record(x=np.array([0.0, 1.0])))
+    with pytest.raises(ValueError, match="seq 1 .* 1 features"):
+        plane.push(record(seq=1))
+    assert plane.stats().records == 1
+
+
+@pytest.mark.parametrize("kind,step,far_window", [
+    ("tumbling", None, 10**9 // 8),
+    ("sliding", 2, 10**9 // 2 - 3),
+])
+def test_sealing_cost_does_not_grow_with_the_sequence_gap(kind, step, far_window):
+    far = 10**9
+
+    def record(seq):
+        return StreamRecord(x=np.array([float(seq)]), y=0, time=float(seq), seq=seq)
+
+    # Through push: the far record's arrival seals window 0 and skips
+    # every empty window up to the far record's own.
+    plane = make_plane(kind=kind, size=8, step=step)
+    plane.push(record(0))
+    began = time.perf_counter()
+    sealed = plane.push(record(far))
+    assert time.perf_counter() - began < 1.0
+    assert [w.index for w in sealed] == [0]
+    assert plane.next_seal == far_window
+    tail = plane.finish()
+    assert [(w.index, w.X[:, 0].tolist()) for w in tail] == [(far_window, [far])]
+
+    # Through finish: a delay as wide as the gap leaves both open.
+    plane = make_plane(kind=kind, size=8, step=step, delay=far)
+    plane.push(record(0))
+    assert plane.push(record(far)) == []
+    began = time.perf_counter()
+    sealed = plane.finish()
+    assert time.perf_counter() - began < 1.0
+    assert [(w.index, w.X[:, 0].tolist()) for w in sealed] == [
+        (0, [0.0]), (far_window, [far]),
+    ]

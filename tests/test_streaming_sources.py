@@ -11,8 +11,10 @@ from repro.streaming.sources import (
     STREAM_KINDS,
     StreamRecord,
     StreamSource,
+    chunked,
     make_stream,
     skewed,
+    skewed_chunks,
 )
 
 
@@ -257,6 +259,10 @@ def assert_same_records(got, expected):
         assert (record.seq, record.provider) == (reference.seq, reference.provider)
 
 
+def flatten(chunks):
+    return [record for chunk in chunks for record in chunk.records()]
+
+
 CHUNK = sources._CHUNK
 
 
@@ -268,9 +274,10 @@ def test_records_match_the_per_record_reference(dataset, kind, n_records):
     expected = list(reference_records(source))
     assert_same_records(list(source), expected)
     for skew in (0, 1, 6, n_records + 5):
+        reference = list(reference_skewed(expected, skew, seed=3))
+        assert_same_records(list(skewed(source, skew, seed=3)), reference)
         assert_same_records(
-            list(skewed(source, skew, seed=3)),
-            list(reference_skewed(expected, skew, seed=3)),
+            flatten(skewed_chunks(source.chunks(), skew, seed=3)), reference
         )
 
 
@@ -283,7 +290,26 @@ def test_records_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
         )
         expected = list(reference_records(source))
         assert_same_records(list(source), expected)
+        reference = list(reference_skewed(expected, 6, seed=1))
+        assert_same_records(list(skewed(source, 6, seed=1)), reference)
         assert_same_records(
-            list(skewed(source, 6, seed=1)),
-            list(reference_skewed(expected, 6, seed=1)),
+            flatten(skewed_chunks(source.chunks(), 6, seed=1)), reference
         )
+
+
+def test_chunked_packs_records_as_the_source_chunks_them():
+    source = make_stream("wine", kind="abrupt", n_records=300, seed=2)
+    packed = list(chunked(list(source)))
+    generated = list(source.chunks())
+    assert len(packed) == len(generated)
+    for left, right in zip(packed, generated):
+        for name in ("x", "y", "time", "seq", "provider"):
+            a, b = getattr(left, name), getattr(right, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    # Unstamped records are stamped as the ingestion plane stamps them:
+    # one past the largest sequence number before them.
+    plain = [
+        StreamRecord(x=np.array([0.0]), y=0, time=0.0, seq=seq)
+        for seq in (5, -1, 2, -1)
+    ]
+    assert [chunk.seq.tolist() for chunk in chunked(plain)] == [[5, 6, 2, 7]]

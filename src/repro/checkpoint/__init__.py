@@ -15,14 +15,14 @@ away.  This package is that layer:
   runtime :class:`Checkpointer` policy (checkpoint-every-N-windows, the
   eviction signal), and :class:`SessionEvicted`.
 
-The *content* of a checkpoint is owned by the session driver
-(:func:`repro.streaming.stream_session._execute_stream_session` builds
-and re-applies the state payload); this package deliberately knows
-nothing about streaming or serving, so every other subpackage may import
-it without cycles.  The restore invariant, enforced by the round-trip
-property tests: kill/restore at any round boundary reproduces the
-uninterrupted session fingerprint **bit-identically**, across backends,
-shard counts, plans, late policies, and mid-run re-negotiations.
+The *content* of a checkpoint is the stream driver's run-state record,
+in which each stateful component keeps its own snapshot; this package
+deliberately knows nothing about streaming or serving, so every other
+subpackage may import it without cycles.  The restore invariant, enforced
+by the round-trip property tests: kill/restore at any round boundary
+reproduces the uninterrupted session fingerprint **bit-identically**,
+across backends, shard counts, plans, late policies, and mid-run
+re-negotiations.
 """
 
 from .checkpoint import (

@@ -56,10 +56,11 @@ __all__ = [
 MAGIC = b"RPCK"
 
 #: Bump on any incompatible payload-layout change; loads refuse other
-#: versions rather than guessing.  Version 2 stores configs, epochs,
-#: events, window stats and adaptors as registered dataclasses (see
-#: :func:`repro.checkpoint.codec.register`); version 1 files are refused.
-SCHEMA_VERSION = 2
+#: versions rather than guessing.  Version 3 stores the whole session
+#: state as one registered run-state record holding each component's own
+#: snapshot record (see :func:`repro.checkpoint.codec.register`); version
+#: 2 (a state mapping filled by the driver) and 1 files are refused.
+SCHEMA_VERSION = 3
 
 _HEADER = struct.Struct(">4sH32sQ")
 
@@ -99,9 +100,9 @@ class SessionCheckpoint:
     that names this exact state, printed by ``repro checkpoint inspect``
     and stable across save/load round trips.
 
-    The ``config``, ``source`` and ``progress`` accessors check their
-    part of the payload and raise :class:`CheckpointError` naming it when
-    it is missing or of the wrong type.
+    The ``config``, ``source``, ``progress`` and ``state`` accessors
+    check their part of the payload and raise :class:`CheckpointError`
+    naming it when it is missing or of the wrong type.
     """
 
     schema_version: int
@@ -127,6 +128,11 @@ class SessionCheckpoint:
     def source(self) -> Dict[str, Any]:
         """The stream source's identity (``make_stream`` arguments)."""
         return self._part("source", lambda v: isinstance(v, dict), "mapping")
+
+    @property
+    def state(self) -> Any:
+        """The session state record (a registered dataclass)."""
+        return self._part("state", is_dataclass, "session state record")
 
     @property
     def spec(self) -> Optional[Dict[str, Any]]:

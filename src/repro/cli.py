@@ -129,6 +129,7 @@ from .streaming import (
     make_stream,
     run_stream_session,
 )
+from .streaming.stream_session import _source_from_mapping
 
 __all__ = ["main", "build_parser"]
 
@@ -1017,17 +1018,7 @@ def _cmd_stream(args: argparse.Namespace) -> str:
                 f"checkpoint config is a {type(config).__name__}, not a "
                 f"StreamConfig"
             )
-        source = make_stream(
-            src["name"],
-            kind=src["kind"],
-            n_records=src["n_records"],
-            seed=src["seed"],
-            drift_at=src.get("drift_at", 0.5),
-            magnitude=src.get("magnitude", 1.5),
-            transition=src.get("transition", 0.2),
-            rate=src.get("rate", 1000.0),
-            burst_factor=src.get("burst_factor", 8.0),
-        )
+        source = _source_from_mapping(src)
         if telemetry is not None:
             config = dataclasses_replace(config, telemetry=telemetry)
     else:

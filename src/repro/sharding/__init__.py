@@ -36,7 +36,7 @@ from .backends import (
     ThreadBackend,
     make_backend,
 )
-from .engine import DataPlane, ShardPool
+from .engine import DataPlane, DataPlaneState, ShardPool
 from .plan import SHARD_STRATEGIES, ShardPlan
 from .worker import party_risk_task, predict_window, transform_window
 
@@ -53,6 +53,7 @@ __all__ = [
     "make_backend",
     "ShardPool",
     "DataPlane",
+    "DataPlaneState",
     "transform_window",
     "predict_window",
     "party_risk_task",

@@ -23,17 +23,19 @@ side by side rather than blending them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from ..checkpoint import CheckpointError, register
 from ..simnet.channel import Network
 from ..simnet.messages import Message, MessageKind
 from ..simnet.node import Node
 from .backends import ShardBackend, ShardFutures, make_backend
 from .plan import ShardPlan
 
-__all__ = ["ShardPool", "DataPlane"]
+__all__ = ["ShardPool", "DataPlane", "DataPlaneState"]
 
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
@@ -97,19 +99,6 @@ class ShardPool:
         self.close()
 
 
-class _PartyGate(Node):
-    """A data provider's ingest gate: sends batches, expects no replies.
-
-    ``records_sent`` counts the rows this provider pushed onto the wire,
-    giving the data plane a per-provider traffic view that lines up with
-    the ingestion plane's per-provider gate counters.
-    """
-
-    def __init__(self, name: str, network: Network, seed: int = 0) -> None:
-        super().__init__(name, network, seed=seed)
-        self.records_sent = 0
-
-
 class _ShardWorkerNode(Node):
     """A logical shard's network presence: receives (and forwards) batches."""
 
@@ -158,6 +147,21 @@ class _MinerSink(Node):
         self.records_received += int(np.asarray(message.payload["X"]).shape[0])
 
 
+@register
+@dataclass(eq=False)
+class DataPlaneState:
+    """A :class:`DataPlane`'s checkpoint state: its counters (nonces and
+    the virtual clock never surface in results)."""
+
+    messages: int
+    bytes: int
+    provider_records: List[int]
+    shard_records: List[int]
+    shard_batches: List[int]
+    sink_windows: int
+    sink_records: int
+
+
 class DataPlane:
     """Persistent simnet network carrying the sharded session's data traffic.
 
@@ -176,7 +180,11 @@ class DataPlane:
     ) -> None:
         self.plan = plan
         self.network = Network(seed=seed)
-        self.gates = [_PartyGate(name, self.network) for name in provider_names]
+        # Provider gates only send; the plane counts the rows each pushed
+        # onto the wire, a per-provider view that lines up with the
+        # ingestion plane's gate counters.
+        self.gates = [Node(name, self.network) for name in provider_names]
+        self._provider_records = [0] * len(self.gates)
         self.shards = [
             _ShardWorkerNode(f"shard-{index}", self.network, index=index)
             for index in range(plan.n_shards)
@@ -202,7 +210,7 @@ class DataPlane:
             if rows is None or rows.shape[0] == 0:
                 continue
             destination = self.plan.shard_of_batch(window_index, party)
-            self.gates[party].records_sent += int(rows.shape[0])
+            self._provider_records[party] += int(rows.shape[0])
             self.gates[party].send(
                 MessageKind.SHARD_BATCH,
                 f"shard-{destination}",
@@ -236,4 +244,38 @@ class DataPlane:
     @property
     def provider_records(self) -> List[int]:
         """Rows pushed per provider gate, in fixed provider order."""
-        return [gate.records_sent for gate in self.gates]
+        return list(self._provider_records)
+
+    def snapshot(self) -> DataPlaneState:
+        """The plane's counters."""
+        return DataPlaneState(
+            messages=self.messages_sent,
+            bytes=self.bytes_sent,
+            provider_records=self.provider_records,
+            shard_records=self.shard_records,
+            shard_batches=[shard.batches_received for shard in self.shards],
+            sink_windows=self.sink.windows_received,
+            sink_records=self.sink.records_received,
+        )
+
+    def restore(self, state: DataPlaneState) -> None:
+        """Load a :meth:`snapshot` into a fresh plane; refuses a misfit."""
+        if not isinstance(state, DataPlaneState) or (
+            len(state.provider_records),
+            len(state.shard_records),
+            len(state.shard_batches),
+        ) != (len(self.gates), len(self.shards), len(self.shards)):
+            raise CheckpointError(
+                f"checkpoint data-plane state does not fit {len(self.gates)} "
+                f"providers on {len(self.shards)} shards"
+            )
+        self.network.messages_sent = state.messages
+        self.network.bytes_sent = state.bytes
+        self._provider_records = list(state.provider_records)
+        for shard, records, batches in zip(
+            self.shards, state.shard_records, state.shard_batches
+        ):
+            shard.records_received = records
+            shard.batches_received = batches
+        self.sink.windows_received = state.sink_windows
+        self.sink.records_received = state.sink_records

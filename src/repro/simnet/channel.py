@@ -92,9 +92,12 @@ class Network:
         self._nodes: Dict[str, "Node"] = {}
         self._rng = np.random.default_rng(seed)
         self.ledger = ObservationLedger()
-        self._messages_sent = 0
-        self._bytes_sent = 0
-        self._messages_dropped = 0
+        #: messages and serialized payload bytes accepted for transmission,
+        #: and transmissions lost to fault injection (drop rate / blocked
+        #: links); public, so a restored session can set them
+        self.messages_sent = 0
+        self.bytes_sent = 0
+        self.messages_dropped = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -131,24 +134,6 @@ class Network:
         self._blocked_links.discard((sender, recipient))
 
     # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    @property
-    def messages_sent(self) -> int:
-        """Total messages accepted for transmission."""
-        return self._messages_sent
-
-    @property
-    def bytes_sent(self) -> int:
-        """Total serialized payload bytes accepted for transmission."""
-        return self._bytes_sent
-
-    @property
-    def messages_dropped(self) -> int:
-        """Transmissions lost to fault injection (drop rate / blocked links)."""
-        return self._messages_dropped
-
-    # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
@@ -166,8 +151,8 @@ class Network:
         key = crypto.derive_key(message.sender, message.recipient)
         ciphertext = crypto.encrypt(key, plaintext, self._rng)
 
-        self._messages_sent += 1
-        self._bytes_sent += len(plaintext)
+        self.messages_sent += 1
+        self.bytes_sent += len(plaintext)
 
         # A wire eavesdropper learns endpoints, timing, and size — not content.
         self.ledger.record_wire(
@@ -183,7 +168,7 @@ class Network:
         if (message.sender, message.recipient) in self._blocked_links or (
             self.drop_rate > 0.0 and self._rng.random() < self.drop_rate
         ):
-            self._messages_dropped += 1
+            self.messages_dropped += 1
             return
 
         model = self._link_latency.get(

@@ -82,6 +82,12 @@ class DriftDetector(abc.ABC):
         """Whether a reference window has been installed yet."""
         return self._reference is not None
 
+    @property
+    def reference(self) -> Optional[np.ndarray]:
+        """The reference window, the detector's whole checkpoint state
+        (:meth:`rebase` restores it); ``None`` before the first window."""
+        return self._reference
+
     def observe(self, X: np.ndarray) -> DriftReport:
         """Check one window (rows ``(n, d)``) against the reference.
 

@@ -63,7 +63,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checkpoint.codec import register
+from ..checkpoint import CheckpointError, register
 from ..obs import ingest_collector
 from ..sharding.plan import ShardPlan
 from .sources import RecordChunk, StreamRecord
@@ -74,6 +74,7 @@ __all__ = [
     "ProviderGate",
     "ShardIngest",
     "IngestStats",
+    "IngestState",
     "IngestPlane",
 ]
 
@@ -152,6 +153,37 @@ class IngestStats:
             "max_skew": self.max_skew,
             "providers": [gate.to_dict() for gate in self.providers],
         }
+
+
+#: buffered row runs in a checkpoint, each as ``(x, y, time, seq)`` arrays
+_Runs = List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
+@register
+@dataclass(eq=False)
+class IngestState:
+    """An :class:`IngestPlane`'s checkpoint state: frontier and next seal,
+    gates, each shard's open ``(rows, readmitted)`` per window, pending
+    corrections and revisions; rows travel as ``(x, y, time, seq)`` runs."""
+
+    frontier: int
+    next_seal: int
+    gates: List[ProviderGate]
+    open: List[Dict[int, Tuple[_Runs, _Runs]]]
+    corrections: Dict[int, _Runs]
+    revisions: Dict[int, int]
+
+
+def _pack(parts: List[RecordChunk]) -> _Runs:
+    return [(part.x, part.y, part.time, part.seq) for part in parts]
+
+
+def _unpack(runs: _Runs, dimension: Optional[int]) -> List[RecordChunk]:
+    if any(dimension not in (None, np.shape(run[0])[-1]) for run in runs):
+        raise CheckpointError(
+            f"checkpoint ingest rows do not have {dimension} features"
+        )
+    return [RecordChunk(*run) for run in runs]
 
 
 class _OpenWindow:
@@ -613,6 +645,51 @@ class IngestPlane:
             fresh=fresh,
             revision=revision,
         )
+
+    def snapshot(self) -> IngestState:
+        """The plane's mid-stream state (gates copied, row arrays shared)."""
+        return IngestState(
+            frontier=self.frontier,
+            next_seal=self.next_seal,
+            gates=[replace(gate) for gate in self.gates],
+            open=[
+                {
+                    index: (_pack(bucket.rows), _pack(bucket.readmitted))
+                    for index, bucket in shard.open.items()
+                }
+                for shard in self.shards
+            ],
+            corrections={
+                index: _pack(parts) for index, parts in self._corrections.items()
+            },
+            revisions=dict(self._revisions),
+        )
+
+    def restore(self, state: IngestState, dimension: Optional[int] = None) -> None:
+        """Load a :meth:`snapshot` into a fresh plane; refuses a misfit."""
+        if (
+            not isinstance(state, IngestState)
+            or [getattr(gate, "name", None) for gate in state.gates]
+            != [gate.name for gate in self.gates]
+            or len(state.open) != len(self.shards)
+        ):
+            raise CheckpointError(
+                f"checkpoint ingest state does not fit {self.k} provider "
+                f"gates on {len(self.shards)} shards"
+            )
+        self.frontier, self.next_seal = state.frontier, state.next_seal
+        self._next_seq = state.frontier + 1  # it always leads the frontier by one
+        self.gates = [replace(gate) for gate in state.gates]
+        for shard, buckets in zip(self.shards, state.open):
+            for index, (rows, readmitted) in buckets.items():
+                bucket = shard.open[index] = _OpenWindow()
+                bucket.rows = _unpack(rows, dimension)
+                bucket.readmitted = _unpack(readmitted, dimension)
+        self._corrections = {
+            index: _unpack(rows, dimension)
+            for index, rows in state.corrections.items()
+        }
+        self._revisions = dict(state.revisions)
 
     # ------------------------------------------------------------------
     # convenience

@@ -18,15 +18,18 @@ Both expose ``to_batch()`` so downstream code (and the equivalence tests)
 can hand the frozen state to the existing batch machinery, and ``merge()``
 — the Welford/Chan and min/max merge algebra — so per-shard states built
 by :mod:`repro.sharding` can be combined into exactly the state one
-unsharded normalizer would hold.
+unsharded normalizer would hold.  Both are registered dataclasses of
+their state alone, so a checkpoint carries them as they are.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ..checkpoint.codec import register
 from ..core.normalization import MinMaxNormalizer, ZScoreNormalizer
 
 __all__ = [
@@ -40,6 +43,8 @@ __all__ = [
 NORMALIZER_KINDS = ("minmax", "zscore")
 
 
+@register
+@dataclass(eq=False)
 class RunningMinMaxNormalizer:
     """Stream counterpart of :class:`MinMaxNormalizer`.
 
@@ -49,10 +54,9 @@ class RunningMinMaxNormalizer:
     columns map to 0.5.
     """
 
-    def __init__(self) -> None:
-        self.minimums: Optional[np.ndarray] = None
-        self.maximums: Optional[np.ndarray] = None
-        self.n_seen = 0
+    minimums: Optional[np.ndarray] = None
+    maximums: Optional[np.ndarray] = None
+    n_seen: int = 0
 
     def update(self, X: np.ndarray) -> "RunningMinMaxNormalizer":
         """Fold a ``(n, d)`` batch of new rows into the running bounds."""
@@ -109,18 +113,20 @@ class RunningMinMaxNormalizer:
         )
 
 
+@register
+@dataclass(eq=False)
 class RunningZScoreNormalizer:
     """Stream counterpart of :class:`ZScoreNormalizer` (Welford/Chan).
 
-    Maintains per-column ``(n, mean, M2)`` and merges whole batches at a
-    time with Chan's parallel-update formula, which is numerically stable
-    under any chunking of the stream.
+    Maintains per-column ``(n, mean, M2)`` — ``m2`` is the running sum of
+    squared deviations — and merges whole batches at a time with Chan's
+    parallel-update formula, which is numerically stable under any
+    chunking of the stream.
     """
 
-    def __init__(self) -> None:
-        self.means: Optional[np.ndarray] = None
-        self._m2: Optional[np.ndarray] = None
-        self.n_seen = 0
+    means: Optional[np.ndarray] = None
+    m2: Optional[np.ndarray] = None
+    n_seen: int = 0
 
     def update(self, X: np.ndarray) -> "RunningZScoreNormalizer":
         """Merge a ``(n, d)`` batch into the running moments."""
@@ -143,16 +149,16 @@ class RunningZScoreNormalizer:
         order reproduces the unsharded state bit for bit, and merging them
         in *any* order agrees up to floating-point rounding.
         """
-        if other.means is None or other._m2 is None:
+        if other.means is None or other.m2 is None:
             return self
-        self._merge_moments(other.n_seen, other.means, other._m2)
+        self._merge_moments(other.n_seen, other.means, other.m2)
         return self
 
     def _merge_moments(self, n_b: int, mean_b: np.ndarray, m2_b: np.ndarray) -> None:
         """Shared Chan merge for :meth:`update` and :meth:`merge`."""
         if self.means is None:
             self.means = np.array(mean_b, dtype=float, copy=True)
-            self._m2 = np.array(m2_b, dtype=float, copy=True)
+            self.m2 = np.array(m2_b, dtype=float, copy=True)
             self.n_seen = int(n_b)
             return
         if mean_b.shape[0] != self.means.shape[0]:
@@ -164,15 +170,15 @@ class RunningZScoreNormalizer:
         delta = mean_b - self.means
         total = n_a + n_b
         self.means = self.means + delta * (n_b / total)
-        self._m2 = self._m2 + m2_b + delta**2 * (n_a * n_b / total)
+        self.m2 = self.m2 + m2_b + delta**2 * (n_a * n_b / total)
         self.n_seen = int(total)
 
     @property
     def stds(self) -> np.ndarray:
         """Population standard deviations (``ddof=0``, matching the batch)."""
-        if self._m2 is None:
+        if self.m2 is None:
             raise RuntimeError("normalizer has seen no data")
-        return np.sqrt(self._m2 / self.n_seen)
+        return np.sqrt(self.m2 / self.n_seen)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Standardize rows under the moments seen so far."""

@@ -21,10 +21,12 @@ rotation/translation adaptor algebra the protocol uses for data
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from ..checkpoint import CheckpointError, register
 from ..core.adaptation import SpaceAdaptor
 from ..mining.base import validate_Xy
 from ..mining.knn import KNNClassifier
@@ -34,6 +36,8 @@ __all__ = [
     "OnlineClassifier",
     "ReservoirKNN",
     "OnlineLinearSVM",
+    "ReservoirKNNState",
+    "LinearSVMState",
     "make_online_classifier",
     "predict_from_state",
 ]
@@ -72,6 +76,31 @@ class OnlineClassifier(abc.ABC):
         an exported snapshot (the sharded engine snapshots before training,
         preserving prequential test-then-train semantics).
         """
+
+
+@register
+@dataclass(eq=False)
+class ReservoirKNNState:
+    """A :class:`ReservoirKNN`'s checkpoint state (``rows`` is ``None``
+    before the first fit)."""
+
+    rng: Dict[str, Any]
+    rows: Optional[np.ndarray]
+    labels: List[Any]
+    n_seen: int
+
+
+@register
+@dataclass(eq=False)
+class LinearSVMState:
+    """An :class:`OnlineLinearSVM`'s checkpoint state."""
+
+    rng: Dict[str, Any]
+    weights: Dict[Any, np.ndarray]
+    biases: Dict[Any, float]
+    t: int
+    n_seen: int
+    dim: Optional[int]
 
 
 class ReservoirKNN(OnlineClassifier):
@@ -175,6 +204,41 @@ class ReservoirKNN(OnlineClassifier):
         ).T
         self._model = None
 
+    def snapshot(self) -> ReservoirKNNState:
+        """The reservoir's checkpoint state (a copy)."""
+        return ReservoirKNNState(
+            rng=self.rng.bit_generator.state,
+            rows=None if self._X_buf is None else self._X_buf[: self._size].copy(),
+            labels=list(self._labels),
+            n_seen=self._n_seen,
+        )
+
+    def restore(self, state: ReservoirKNNState, dimension: Optional[int] = None) -> None:
+        """Load a :meth:`snapshot` into a fresh reservoir; refuses a misfit."""
+        rows = getattr(state, "rows", None)
+        if not isinstance(state, ReservoirKNNState) or not (
+            rows is None
+            or (
+                isinstance(rows, np.ndarray)
+                and rows.ndim == 2
+                and len(rows) == len(state.labels) <= self.capacity
+                and dimension in (None, rows.shape[1])
+            )
+        ):
+            raise CheckpointError(
+                f"checkpoint miner state does not fit a reservoir KNN of "
+                f"{self.capacity} rows of {dimension} features"
+            )
+        self.rng.bit_generator.state = state.rng
+        self._X_buf = None
+        if rows is not None:
+            self._X_buf = np.empty((self.capacity, rows.shape[1]))
+            self._X_buf[: len(rows)] = rows
+        self._labels = list(state.labels)
+        self._size = len(self._labels)
+        self._n_seen = state.n_seen
+        self._model = None  # refit lazily from the restored reservoir
+
     def export_predict_state(self) -> Dict[str, object]:
         """Snapshot the reservoir for out-of-process prediction."""
         if self._size == 0:
@@ -266,6 +330,34 @@ class OnlineLinearSVM(OnlineClassifier):
             w_new = R @ w
             self._weights[label] = w_new
             self._biases[label] = self._biases[label] - float(w_new @ psi)
+
+    def snapshot(self) -> LinearSVMState:
+        """The learner's checkpoint state (a copy)."""
+        return LinearSVMState(
+            rng=self.rng.bit_generator.state,
+            weights={label: w.copy() for label, w in self._weights.items()},
+            biases=dict(self._biases),
+            t=self._t,
+            n_seen=self._n_seen,
+            dim=self._dim,
+        )
+
+    def restore(self, state: LinearSVMState, dimension: Optional[int] = None) -> None:
+        """Load a :meth:`snapshot` into a fresh learner; refuses a misfit."""
+        misfit = dimension is not None and getattr(state, "dim", None) not in (
+            None, dimension
+        )
+        if not isinstance(state, LinearSVMState) or misfit:
+            raise CheckpointError(
+                f"checkpoint miner state does not fit a linear SVM of "
+                f"{dimension} features"
+            )
+        self.rng.bit_generator.state = state.rng
+        self._weights = {label: w.copy() for label, w in state.weights.items()}
+        self._biases = dict(state.biases)
+        self._t = state.t
+        self._n_seen = state.n_seen
+        self._dim = state.dim
 
     def export_predict_state(self) -> Dict[str, object]:
         """Snapshot the per-class weights/biases for out-of-process prediction."""

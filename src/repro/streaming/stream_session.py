@@ -67,7 +67,6 @@ import numpy as np
 from ..checkpoint import (
     CheckpointError,
     Checkpointer,
-    SessionCheckpoint,
     SessionEvicted,
     load_checkpoint,
     register,
@@ -80,6 +79,7 @@ from ..sharding import (
     BACKENDS,
     SHARD_STRATEGIES,
     DataPlane,
+    DataPlaneState,
     ShardBackend,
     ShardFutures,
     ShardPlan,
@@ -92,19 +92,10 @@ from ..simnet.channel import Network
 from ..simnet.messages import Message, MessageKind
 from ..simnet.node import Node
 from .drift import DETECTOR_KINDS, DriftReport, make_detector
-from .ingest import LATE_POLICIES, IngestPlane, IngestStats
-from .normalizer import (
-    NORMALIZER_KINDS,
-    RunningMinMaxNormalizer,
-    make_normalizer,
-)
-from .online_miner import (
-    ONLINE_CLASSIFIERS,
-    OnlineLinearSVM,
-    ReservoirKNN,
-    make_online_classifier,
-)
-from .sources import RecordChunk, StreamSource, chunked, skewed, skewed_chunks
+from .ingest import LATE_POLICIES, IngestPlane, IngestState, IngestStats
+from .normalizer import NORMALIZER_KINDS, make_normalizer
+from .online_miner import ONLINE_CLASSIFIERS, make_online_classifier
+from .sources import StreamSource, chunked, make_stream, skewed, skewed_chunks
 from .windows import WINDOW_KINDS, Window
 
 __all__ = [
@@ -634,71 +625,6 @@ class _Epoch:
     sigmas: Tuple[float, ...]
 
 
-def _negotiate(
-    config: StreamConfig,
-    dimension: int,
-    sigmas: Sequence[float],
-    master: np.random.Generator,
-) -> Tuple[
-    GeometricPerturbation,
-    ExchangePlan,
-    List[GeometricPerturbation],
-    List[SpaceAdaptor],
-    int,
-    int,
-    float,
-]:
-    """Run one negotiation over a fresh simnet network.
-
-    Returns the negotiated target, exchange plan, per-party perturbations
-    and adaptors, plus the network's message/byte counts and the virtual
-    duration of the exchange.
-    """
-    network = Network(seed=int(master.integers(2**32)))
-    names = [config.provider_name(i) for i in range(config.k)]
-    providers: List[_NegotiationProvider] = []
-    for index in range(config.k - 1):
-        providers.append(
-            _NegotiationProvider(
-                names[index],
-                network,
-                dimension,
-                float(sigmas[index]),
-                coordinator_name=names[-1],
-                seed=int(master.integers(2**32)),
-            )
-        )
-    coordinator = _NegotiationCoordinator(
-        names[-1],
-        network,
-        dimension,
-        float(sigmas[-1]),
-        k=config.k,
-        provider_names=names,
-        seed=int(master.integers(2**32)),
-    )
-    providers.append(coordinator)
-
-    network.simulator.schedule(0.0, coordinator.start)
-    network.run()
-
-    if coordinator.adaptors_received != config.k:
-        raise RuntimeError(
-            f"negotiation incomplete: {coordinator.adaptors_received}/"
-            f"{config.k} adaptors"
-        )
-    assert coordinator.target is not None and coordinator.plan is not None
-    return (
-        coordinator.target,
-        coordinator.plan,
-        [p.perturbation for p in providers],
-        [p.adaptor for p in providers],
-        network.messages_sent,
-        network.bytes_sent,
-        network.simulator.now,
-    )
-
-
 def _epoch_guarantee(
     epoch: _Epoch,
     X_normalized: np.ndarray,
@@ -734,7 +660,6 @@ class _WindowWork:
     migration: Optional[SpaceAdaptor]
     report: DriftReport
     readapted: bool
-    shard: int
     # filled by the transform stage
     X_norm: Optional[np.ndarray] = field(default=None)
     X_target: Optional[np.ndarray] = field(default=None)
@@ -766,21 +691,19 @@ class _Round:
 
 
 # ----------------------------------------------------------------------
-# durable sessions: checkpoint state capture / restore
+# durable sessions: the run-state record
 # ----------------------------------------------------------------------
-# The driver's whole mutable surface is already explicit (incremental
-# normalizers, miner reservoirs/weights, epoch + adaptor cache, ingest
-# buffers, RNG states), so a checkpoint is a plain mapping of it.  The
-# config, epoch, adaptors, events and window stats are registered
-# dataclasses and go into it as they are; the helpers below capture and
-# re-apply the internals of the other objects.  The payload layout *is*
-# the checkpoint schema (``repro.checkpoint.SCHEMA_VERSION``).
-# Restore is reinit-then-overwrite: the driver initializes normally (the
-# fresh master RNG re-draws the same derived seeds in the same order),
-# then every mutable piece is overwritten from the checkpoint and the
-# already-ingested arrival prefix is skipped — sources and the skew
-# shuffler re-derive their arrival order deterministically from their
-# seeds, which is what makes resume bit-identical to never stopping.
+# Everything a run mutates lives in one registered record, ``_RunState``,
+# or in a component that snapshots itself (online miners, drift detector,
+# ingest and data planes, adaptor cache); :meth:`_StreamRun.checkpoint`
+# puts those snapshots and the master RNG's position into the record, and
+# the record *is* the checkpoint's state (its layout is the schema,
+# ``repro.checkpoint.SCHEMA_VERSION``).  A resume builds the components as
+# a fresh run does (the master RNG re-draws the same derived seeds in the
+# same order), restores each from its snapshot, adopts the record, and
+# skips the already-ingested arrival prefix: sources and the skew shuffler
+# re-derive their arrival order from their seeds, which is what makes
+# resume bit-identical to never stopping.
 
 #: the payload ``format`` tag of stream-session checkpoints
 STREAM_CHECKPOINT_FORMAT = "repro.checkpoint/stream"
@@ -803,205 +726,47 @@ def _source_mapping(source: StreamSource) -> Dict[str, Any]:
     return mapping
 
 
-def _normalizer_state(norm: Any) -> Dict[str, Any]:
-    if isinstance(norm, RunningMinMaxNormalizer):
-        return {
-            "kind": "minmax",
-            "minimums": norm.minimums,
-            "maximums": norm.maximums,
-            "n_seen": norm.n_seen,
-        }
-    return {
-        "kind": "zscore",
-        "means": norm.means,
-        "m2": norm._m2,
-        "n_seen": norm.n_seen,
-    }
-
-
-def _restore_normalizer(norm: Any, state: Dict[str, Any]) -> None:
-    if state["kind"] == "minmax":
-        norm.minimums = state["minimums"]
-        norm.maximums = state["maximums"]
-    else:
-        norm.means = state["means"]
-        norm._m2 = state["m2"]
-    norm.n_seen = int(state["n_seen"])
-
-
-def _miner_state(miner: Any) -> Dict[str, Any]:
-    if isinstance(miner, ReservoirKNN):
-        return {
-            "kind": "knn",
-            "rng": miner.rng.bit_generator.state,
-            "rows": None if miner._X_buf is None else miner._X_buf[: miner._size].copy(),
-            "labels": list(miner._labels),
-            "size": miner._size,
-            "n_seen": miner._n_seen,
-        }
-    if isinstance(miner, OnlineLinearSVM):
-        return {
-            "kind": "svm",
-            "rng": miner.rng.bit_generator.state,
-            "weights": dict(miner._weights),
-            "biases": dict(miner._biases),
-            "t": miner._t,
-            "n_seen": miner._n_seen,
-            "dim": miner._dim,
-        }
-    raise CheckpointError(
-        f"online classifier {type(miner).__name__} is not checkpointable"
+def _source_from_mapping(mapping: Dict[str, Any]) -> StreamSource:
+    """Rebuild the source a checkpoint recorded with :func:`_source_mapping`."""
+    missing = [name for name in _SOURCE_FIELDS if name not in mapping]
+    if missing:
+        raise CheckpointError(f"checkpoint source lacks {', '.join(missing)}")
+    return make_stream(
+        mapping["name"], **{name: mapping[name] for name in _SOURCE_FIELDS[1:]}
     )
 
 
-def _restore_miner(miner: Any, state: Dict[str, Any]) -> None:
-    miner.rng.bit_generator.state = state["rng"]
-    if state["kind"] == "knn":
-        rows = state["rows"]
-        if rows is not None:
-            buffer = np.empty((miner.capacity, rows.shape[1]))
-            buffer[: rows.shape[0]] = rows
-            miner._X_buf = buffer
-        miner._labels = list(state["labels"])
-        miner._size = int(state["size"])
-        miner._n_seen = int(state["n_seen"])
-        miner._model = None  # refit lazily from the restored reservoir
-    else:
-        miner._weights = dict(state["weights"])
-        miner._biases = dict(state["biases"])
-        miner._t = int(state["t"])
-        miner._n_seen = int(state["n_seen"])
-        miner._dim = None if state["dim"] is None else int(state["dim"])
+@register
+@dataclass(eq=False)
+class _RunState:
+    """Everything mutable about one stream run: a checkpoint's ``state``.
 
+    The run mutates the fields up to ``window_stats``; the rest are the
+    snapshots :meth:`_StreamRun.checkpoint` takes.
+    """
 
-_GATE_COUNTERS = ("records", "late", "dropped", "readmitted", "upserted", "max_skew")
-
-
-def _rows(parts: List[RecordChunk]) -> List[Tuple[int, np.ndarray, Any, float]]:
-    """Buffered runs as the checkpoint's ``(seq, x, y, time)`` rows."""
-    return [
-        row
-        for part in parts
-        for row in zip(part.seq.tolist(), part.x, part.y.tolist(), part.time.tolist())
-    ]
-
-
-def _runs(rows: List[Tuple[int, np.ndarray, Any, float]]) -> List[RecordChunk]:
-    """Checkpoint rows back as one buffered run (none for no rows)."""
-    if not rows:
-        return []
-    seq, x, y, times = zip(*rows)
-    return [
-        RecordChunk(
-            np.array(x, dtype=float), np.array(y), np.array(times, dtype=float),
-            np.array(seq, dtype=np.int64),
-        )
-    ]
-
-
-def _ingest_state(plane: IngestPlane) -> Dict[str, Any]:
-    return {
-        "frontier": plane.frontier,
-        "next_seal": plane.next_seal,
-        "next_seq": plane._next_seq,
-        "gates": [
-            {name: getattr(gate, name) for name in _GATE_COUNTERS}
-            for gate in plane.gates
-        ],
-        "shards": [
-            {
-                index: (_rows(bucket.rows), _rows(bucket.readmitted))
-                for index, bucket in shard.open.items()
-            }
-            for shard in plane.shards
-        ],
-        "corrections": {
-            index: _rows(parts) for index, parts in plane._corrections.items()
-        },
-        "revisions": dict(plane._revisions),
-    }
-
-
-def _restore_ingest(plane: IngestPlane, state: Dict[str, Any]) -> None:
-    plane.frontier = int(state["frontier"])
-    plane.next_seal = int(state["next_seal"])
-    plane._next_seq = int(state["next_seq"])
-    for gate, counters in zip(plane.gates, state["gates"]):
-        for name in _GATE_COUNTERS:
-            setattr(gate, name, int(counters[name]))
-    for shard, buckets in zip(plane.shards, state["shards"]):
-        shard.open.clear()
-        for index, (rows, readmitted) in buckets.items():
-            for run in _runs(rows):
-                shard.insert(int(index), run)
-            for run in _runs(readmitted):
-                shard.insert(int(index), run, readmitted=True)
-    plane._corrections = {
-        int(index): _runs(rows) for index, rows in state["corrections"].items()
-    }
-    plane._revisions = {
-        int(index): int(revision)
-        for index, revision in state["revisions"].items()
-    }
-
-
-def _data_plane_state(data_plane: DataPlane) -> Dict[str, Any]:
-    return {
-        "messages": int(data_plane.messages_sent),
-        "bytes": int(data_plane.bytes_sent),
-        "provider_records": [int(g.records_sent) for g in data_plane.gates],
-        "shard_records": [int(s.records_received) for s in data_plane.shards],
-        "shard_batches": [int(s.batches_received) for s in data_plane.shards],
-        "sink_windows": int(data_plane.sink.windows_received),
-        "sink_records": int(data_plane.sink.records_received),
-    }
-
-
-def _restore_data_plane(data_plane: DataPlane, state: Dict[str, Any]) -> None:
-    # Only the *observable* accounting needs restoring: per-message nonce
-    # randomness and virtual-clock positions never surface in results.
-    data_plane.network._messages_sent = int(state["messages"])
-    data_plane.network._bytes_sent = int(state["bytes"])
-    for gate, count in zip(data_plane.gates, state["provider_records"]):
-        gate.records_sent = int(count)
-    for shard, count in zip(data_plane.shards, state["shard_records"]):
-        shard.records_received = int(count)
-    for shard, count in zip(data_plane.shards, state["shard_batches"]):
-        shard.batches_received = int(count)
-    data_plane.sink.windows_received = int(state["sink_windows"])
-    data_plane.sink.records_received = int(state["sink_records"])
-
-
-def _check_resume_compatible(
-    ckpt: SessionCheckpoint, source: StreamSource, config: StreamConfig
-) -> None:
-    """Refuse to restore into a different workload (friendly exit-2 path)."""
-    saved_format = ckpt.payload.get("format")
-    if saved_format != STREAM_CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"checkpoint format {saved_format!r} is not a stream "
-            f"session checkpoint"
-        )
-    # ``telemetry`` is compare=False: a runtime attachment, never part
-    # of the workload.
-    saved_config = ckpt.config
-    if saved_config != config:
-        raise CheckpointError(
-            "checkpoint was taken under a different configuration; "
-            f"saved {saved_config!r}, resuming run has {config!r}"
-        )
-    saved_source = ckpt.source
-    current_source = _source_mapping(source)
-    mismatched = sorted(
-        name
-        for name in current_source
-        if name in saved_source and saved_source[name] != current_source[name]
-    )
-    if mismatched:
-        raise CheckpointError(
-            "checkpoint was taken over a different stream source "
-            f"(mismatched: {', '.join(mismatched)})"
-        )
+    trust: Dict[int, float]
+    normalizer: Any
+    shard_normalizers: List[Any]
+    epoch: Optional[_Epoch] = None
+    epoch_seq: int = 0
+    round_seq: int = 0
+    messages_total: int = 0
+    bytes_total: int = 0
+    correct_perturbed: int = 0
+    correct_baseline: int = 0
+    scored: int = 0
+    records: int = 0
+    last_readapt_window: int = -(10**9)
+    events: List[ReadaptationEvent] = field(default_factory=list)
+    window_stats: List[StreamWindowStats] = field(default_factory=list)
+    master_rng: Optional[Dict[str, Any]] = None
+    adaptors: List[Tuple[int, int, SpaceAdaptor]] = field(default_factory=list)
+    detector_reference: Optional[np.ndarray] = None
+    miner: Any = None
+    baseline: Any = None
+    ingest: Optional[IngestState] = None
+    data_plane: Optional[DataPlaneState] = None
 
 
 # ----------------------------------------------------------------------
@@ -1056,214 +821,319 @@ def _execute_stream_session(
     """The stream session internals (see :func:`run_stream_session`).
 
     ``backend`` optionally points the per-round shard fan-out at an
-    externally owned worker pool (the serving engine's shared one) instead
-    of building a fresh pool from ``config.shard_backend``; the choice
-    cannot affect results because task content and merge order never
-    depend on physical placement.
-
-    ``checkpointer``/``resume_from`` are the durability hooks (see
-    :func:`run_stream_session`).  Restore is reinit-then-overwrite: the
-    session initializes exactly as a fresh run — the master RNG re-draws
-    the same derived seeds in the same order — and the saved state is then
-    overwritten on top, so every code path below this block is oblivious
-    to whether the session was ever interrupted.
+    externally owned worker pool (the serving engine's shared one); the
+    choice cannot affect results because task content and merge order
+    never depend on physical placement.
     """
-    restore_state: Optional[Dict[str, Any]] = None
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        _check_resume_compatible(ckpt, source, config)
-        restore_state = ckpt.payload["state"]
+    return _StreamRun(source, config, backend, checkpointer, resume_from).run()
 
-    master = np.random.default_rng(config.seed)
 
-    normalizer = make_normalizer(config.normalizer)
-    shard_normalizers = [
-        make_normalizer(config.normalizer) for _ in range(config.shards)
-    ]
-    detector = make_detector(config.detector, **dict(config.detector_params))
-    params = dict(config.classifier_params)
-    miner_seed = int(master.integers(2**32))
-    miner = make_online_classifier(config.classifier, seed=miner_seed, **params)
-    baseline = make_online_classifier(config.classifier, seed=miner_seed, **params)
-    # Noise is keyed by (root, window, party) rather than drawn from shared
-    # sequential streams, so realizations are independent of sharding.
-    noise_root = int(master.integers(2**32))
+class _StreamRun:
+    """One stream session's driver: components, pipeline stages, state.
 
-    plan = ShardPlan(
-        config.shards,
-        config.shard_plan,
-        n_parties=config.k,
-        salt=abs(int(config.seed)),
-    )
-    data_plane = DataPlane(
-        plan,
-        [config.provider_name(i) for i in range(config.k)],
-        seed=int(master.integers(2**32)),
-    )
-    pool = ShardPool(plan, config.shard_backend if backend is None else backend)
-    # Pipelined rounds: on by default whenever the executing backend can
-    # actually overlap dispatches with driver work (thread/process pools,
-    # including a serving engine's shared metered pool); ``overlap=False``
-    # forces serial dispatch, and an inline/serial backend ignores the
-    # flag because its dispatches complete at submit time anyway.
-    overlap_enabled = pool.supports_overlap and config.overlap is not False
-    adaptor_cache = AdaptorCache(maxsize=max(4 * config.k, 16))
+    Set-up builds the components and adopts a fresh :class:`_RunState` or
+    a checkpoint's, so no stage knows whether the session was interrupted;
+    :meth:`run` feeds the source's sealed rounds through the stages.
+    """
 
-    # Telemetry: counters are cheap and live whenever a bundle is present;
-    # spans additionally require the tracer to be enabled.  Every call
-    # site below guards on ``traced`` (or a ``None`` metric handle) so the
-    # telemetry-absent hot path does no clock reads, no dict building, and
-    # no formatting.
-    tel = config.telemetry
-    tracer = tel.tracer if tel is not None else NULL_TRACER
-    traced = tracer.enabled
-    if tel is not None:
-        m_rounds = tel.metrics.counter(
-            "repro_stream_rounds_total", "Rounds merged by stream drivers."
+    def __init__(
+        self,
+        source: StreamSource,
+        config: StreamConfig,
+        backend: Optional[ShardBackend] = None,
+        checkpointer: Optional[Checkpointer] = None,
+        resume_from: Optional[str] = None,
+    ) -> None:
+        self.source = source
+        self.config = config
+        self.checkpointer = checkpointer
+        master = self.master = np.random.default_rng(config.seed)
+        params = dict(config.classifier_params)
+        miner_seed = int(master.integers(2**32))
+        self.miner = make_online_classifier(config.classifier, seed=miner_seed, **params)
+        self.baseline = make_online_classifier(
+            config.classifier, seed=miner_seed, **params
         )
-        m_records = tel.metrics.counter(
-            "repro_stream_records_total", "Records ingested by stream sessions."
+        # Noise is keyed by (root, window, party) rather than drawn from shared
+        # sequential streams, so realizations are independent of sharding.
+        self.noise_root = int(master.integers(2**32))
+        self.plan = ShardPlan(
+            config.shards,
+            config.shard_plan,
+            n_parties=config.k,
+            salt=abs(int(config.seed)),
         )
-        m_windows = tel.metrics.counter(
-            "repro_stream_windows_total", "Windows merged into session stats."
+        self.providers = [config.provider_name(i) for i in range(config.k)]
+        self.data_plane = DataPlane(
+            self.plan, self.providers, seed=int(master.integers(2**32))
         )
-        m_negotiation = tel.metrics.histogram(
-            "repro_stream_negotiation_seconds",
-            "Wall-clock seconds per space negotiation.",
+        self.detector = make_detector(config.detector, **dict(config.detector_params))
+        self.adaptor_cache = AdaptorCache(maxsize=max(4 * config.k, 16))
+
+        # Telemetry: counters are cheap and live whenever a bundle is present;
+        # spans additionally require the tracer to be enabled.  Every call
+        # site below guards on ``traced`` (or a ``None`` metric handle) so the
+        # telemetry-absent hot path does no clock reads, no dict building, and
+        # no formatting.
+        tel = self.tel = config.telemetry
+        self.tracer = tel.tracer if tel is not None else NULL_TRACER
+        self.traced = self.tracer.enabled
+        self.m_rounds = self.m_records = self.m_windows = self.m_negotiation = None
+        if tel is not None:
+            counter = tel.metrics.counter
+            self.m_rounds = counter(
+                "repro_stream_rounds_total", "Rounds merged by stream drivers."
+            )
+            self.m_records = counter(
+                "repro_stream_records_total", "Records ingested by stream sessions."
+            )
+            self.m_windows = counter(
+                "repro_stream_windows_total", "Windows merged into session stats."
+            )
+            self.m_negotiation = tel.metrics.histogram(
+                "repro_stream_negotiation_seconds",
+                "Wall-clock seconds per space negotiation.",
+            )
+
+        # The push-based ingestion surface: provider gates feed per-shard
+        # window buffers and the watermark seals windows in index order.
+        self.plane = IngestPlane(
+            self.plan,
+            window_kind=config.window_kind,
+            window_size=config.window_size,
+            window_step=config.window_step,
+            providers=self.providers,
+            watermark_delay=config.watermark_delay,
+            late_policy=config.late_policy,
+            telemetry=tel,
         )
-    else:
-        m_rounds = m_records = m_windows = m_negotiation = None
+        self.trust_by_window: Dict[int, List[TrustChange]] = {}
+        for change in config.trust_changes:
+            if not 0 <= change.party < config.k:
+                raise ValueError(
+                    f"trust change names party {change.party}, k={config.k}"
+                )
+            self.trust_by_window.setdefault(change.window, []).append(change)
 
-    # The push-based ingestion surface: provider gates feed per-shard
-    # window buffers and the watermark seals windows in index order.
-    plane = IngestPlane(
-        plan,
-        window_kind=config.window_kind,
-        window_size=config.window_size,
-        window_step=config.window_step,
-        providers=[config.provider_name(i) for i in range(config.k)],
-        watermark_delay=config.watermark_delay,
-        late_policy=config.late_policy,
-        telemetry=tel,
-    )
+        if resume_from is None:
+            self.state = _RunState(
+                trust={party: 1.0 for party in range(config.k)},
+                normalizer=make_normalizer(config.normalizer),
+                shard_normalizers=[
+                    make_normalizer(config.normalizer) for _ in range(config.shards)
+                ],
+            )
+        else:
+            self.state = self._restore(resume_from)
 
-    trust = {party: 1.0 for party in range(config.k)}
-    trust_by_window: Dict[int, List[TrustChange]] = {}
-    for change in config.trust_changes:
-        if not 0 <= change.party < config.k:
-            raise ValueError(f"trust change names party {change.party}, k={config.k}")
-        trust_by_window.setdefault(change.window, []).append(change)
+        # The (double-buffered) round pipeline: ``inflight`` has its
+        # transforms dispatched and awaits settling; ``scoring`` is settled
+        # and awaits its prediction merge.  At steady state the pool holds
+        # round N+1's transforms *and* round N's predictions while the
+        # driver ingests records and runs round N+2's control plane — the
+        # overlap that hides driver latency.  Gathering always happens in
+        # strict round order, so merge order, the normalizer merge algebra,
+        # noise keying, and re-negotiation points are untouched and results
+        # stay bit-identical to serial dispatch.
+        self.live_rounds: List[_Round] = []
+        self.inflight: Optional[_Round] = None
+        self.scoring: Optional[_Round] = None
+        self.pool = ShardPool(
+            self.plan, config.shard_backend if backend is None else backend
+        )
+        # Pipelined rounds: on by default whenever the executing backend can
+        # actually overlap dispatches with driver work (thread/process pools,
+        # including a serving engine's shared metered pool); ``overlap=False``
+        # forces serial dispatch, and an inline/serial backend ignores the
+        # flag because its dispatches complete at submit time anyway.
+        self.overlap = self.pool.supports_overlap and config.overlap is not False
 
-    epoch: Optional[_Epoch] = None
-    epoch_seq = 0
-    round_seq = 0
-    events: List[ReadaptationEvent] = []
-    window_stats: List[StreamWindowStats] = []
-    messages_total = 0
-    bytes_total = 0
-    correct_perturbed = 0
-    correct_baseline = 0
-    scored = 0
-    records = 0
-    last_readapt_window = -(10**9)
+    # ------------------------------------------------------------------
+    # durability
+    # ------------------------------------------------------------------
+    def _restore(self, path: str) -> _RunState:
+        """Load ``path``'s run state and restore every component from it.
 
-    if restore_state is not None:
-        # Overwrite the freshly initialized session with the saved state.
-        # The master RNG's derived seeds above were re-drawn identically
-        # (same config seed, same draw order), so only its *position* is
-        # restored here; everything else is a plain state transplant.
-        state = restore_state
-        restore_span = (
-            tracer.span("restore", parent=tel.parent, path=resume_from)
-            if traced
+        A checkpoint of another format, configuration or source, or state
+        that does not fit this session, raises a :class:`CheckpointError`
+        naming the part — before any record is ingested.
+        """
+        config, dimension = self.config, self.source.dimension
+        ckpt = load_checkpoint(path)
+        saved_format = ckpt.payload.get("format")
+        if saved_format != STREAM_CHECKPOINT_FORMAT:
+            raise CheckpointError(
+                f"checkpoint format {saved_format!r} is not a stream "
+                f"session checkpoint"
+            )
+        # ``telemetry`` is compare=False: a runtime attachment, never part
+        # of the workload.
+        if ckpt.config != config:
+            raise CheckpointError(
+                "checkpoint was taken under a different configuration; "
+                f"saved {ckpt.config!r}, resuming run has {config!r}"
+            )
+        saved_source, current_source = ckpt.source, _source_mapping(self.source)
+        mismatched = sorted(
+            name
+            for name in current_source
+            if name in saved_source and saved_source[name] != current_source[name]
+        )
+        if mismatched:
+            raise CheckpointError(
+                "checkpoint was taken over a different stream source "
+                f"(mismatched: {', '.join(mismatched)})"
+            )
+        state = ckpt.state
+        if not isinstance(state, _RunState):
+            raise CheckpointError(
+                f"checkpoint state is a {type(state).__name__}, not a stream "
+                f"run state"
+            )
+        span = (
+            self.tracer.span("restore", parent=self.tel.parent, path=path)
+            if self.traced
             else None
         )
-        master.bit_generator.state = state["master_rng"]
-        _restore_normalizer(normalizer, state["normalizer"])
-        for shard_norm, shard_state in zip(
-            shard_normalizers, state["shard_normalizers"]
+        kind = type(make_normalizer(config.normalizer))
+        normalizers = [state.normalizer, *state.shard_normalizers]
+        if len(normalizers) != config.shards + 1 or any(
+            type(norm) is not kind for norm in normalizers
         ):
-            _restore_normalizer(shard_norm, shard_state)
-        if state["detector_reference"] is not None:
-            detector.rebase(state["detector_reference"])
-        _restore_miner(miner, state["miner"])
-        _restore_miner(baseline, state["baseline"])
-        trust.update(
-            {int(party): float(level) for party, level in state["trust"].items()}
-        )
-        epoch = state["epoch"]
-        for target_id, party_id, adaptor in state["adaptors"]:
-            adaptor_cache.put(target_id, party_id, adaptor)
-        _restore_ingest(plane, state["ingest"])
-        _restore_data_plane(data_plane, state["data_plane"])
-        epoch_seq = int(state["epoch_seq"])
-        round_seq = int(state["round_seq"])
-        messages_total = int(state["messages_total"])
-        bytes_total = int(state["bytes_total"])
-        correct_perturbed = int(state["correct_perturbed"])
-        correct_baseline = int(state["correct_baseline"])
-        scored = int(state["scored"])
-        records = int(state["records"])
-        last_readapt_window = int(state["last_readapt_window"])
-        events = list(state["events"])
-        window_stats = list(state["window_stats"])
-        if tel is not None:
-            tel.metrics.counter(
+            raise CheckpointError(
+                f"checkpoint normalizer states do not fit {config.shards} "
+                f"shards of {config.normalizer} normalizers"
+            )
+        reference = state.detector_reference
+        if reference is not None:
+            if np.shape(reference)[1:] != (dimension,):
+                raise CheckpointError(
+                    f"checkpoint drift reference does not have {dimension} "
+                    f"features"
+                )
+            self.detector.rebase(reference)
+        self.miner.restore(state.miner, dimension)
+        self.baseline.restore(state.baseline, dimension)
+        self.plane.restore(state.ingest, dimension)
+        self.data_plane.restore(state.data_plane)
+        self.master.bit_generator.state = state.master_rng
+        for target_id, party_id, adaptor in state.adaptors:
+            self.adaptor_cache.put(target_id, party_id, adaptor)
+        if self.tel is not None:
+            self.tel.metrics.counter(
                 "repro_checkpoints_total",
                 "Checkpoint operations by outcome.",
                 outcome="restored",
             ).inc()
-        if restore_span is not None:
-            restore_span.end(windows=len(window_stats), records=records)
+        if span is not None:
+            span.end(windows=len(state.window_stats), records=state.records)
         _LOG.info(
             "restored session from %s: %d windows, %d records",
-            resume_from, len(window_stats), records,
+            path, len(state.window_stats), state.records,
         )
+        return state
 
-    def sigmas() -> List[float]:
-        return [config.noise_sigma * (2.0 - trust[p]) for p in range(config.k)]
+    def checkpoint(self) -> Dict[str, Any]:
+        """The checkpoint payload: identity, progress and the run state.
 
-    def negotiate(reason: str, window_index: int, statistic: float,
-                  X_normalized: Optional[np.ndarray]) -> _Epoch:
-        nonlocal messages_total, bytes_total, epoch_seq
+        Only valid at a round boundary after :meth:`drain` — with rounds
+        in flight, part of the state would still be speculative.
+        """
+        state = self.state
+        state.master_rng = self.master.bit_generator.state
+        state.adaptors = self.adaptor_cache.snapshot()
+        state.detector_reference = self.detector.reference
+        state.miner = self.miner.snapshot()
+        state.baseline = self.baseline.snapshot()
+        state.ingest = self.plane.snapshot()
+        state.data_plane = self.data_plane.snapshot()
+        return {
+            "format": STREAM_CHECKPOINT_FORMAT,
+            "config": self.config,
+            "source": _source_mapping(self.source),
+            "progress": {
+                "records": state.records,
+                "windows": len(state.window_stats),
+                "epochs": state.epoch_seq,
+            },
+            "state": state,
+        }
+
+    # ------------------------------------------------------------------
+    # space negotiation
+    # ------------------------------------------------------------------
+    def negotiate(
+        self,
+        reason: str,
+        window_index: int,
+        statistic: float,
+        X_normalized: Optional[np.ndarray],
+    ) -> _Epoch:
+        """Negotiate a new space over a fresh simnet network.
+
+        The coordinator draws the target and exchange plan and collects
+        every provider's adaptor; the adaptors are cached under the new
+        epoch and the event (traffic, latency, guarantee) is recorded.
+        """
+        config, state, master = self.config, self.state, self.master
         span = (
-            tracer.span(
-                "renegotiate", parent=tel.parent, reason=reason,
+            self.tracer.span(
+                "renegotiate", parent=self.tel.parent, reason=reason,
                 window=window_index,
             )
-            if traced
+            if self.traced
             else None
         )
         began = time.perf_counter()
-        levels = sigmas()
-        target, exchange, perturbations, adaptors, n_msgs, n_bytes, virtual = (
-            _negotiate(config, source.dimension, levels, master)
+        levels = [config.noise_sigma * (2.0 - state.trust[p]) for p in range(config.k)]
+        dimension = self.source.dimension
+        network = Network(seed=int(master.integers(2**32)))
+        names = self.providers
+        providers = [
+            _NegotiationProvider(
+                names[index], network, dimension, float(levels[index]),
+                coordinator_name=names[-1], seed=int(master.integers(2**32)),
+            )
+            for index in range(config.k - 1)
+        ]
+        coordinator = _NegotiationCoordinator(
+            names[-1], network, dimension, float(levels[-1]), k=config.k,
+            provider_names=names, seed=int(master.integers(2**32)),
         )
+        providers.append(coordinator)
+        network.simulator.schedule(0.0, coordinator.start)
+        network.run()
+        if coordinator.adaptors_received != config.k:
+            raise RuntimeError(
+                f"negotiation incomplete: {coordinator.adaptors_received}/"
+                f"{config.k} adaptors"
+            )
         latency = time.perf_counter() - began
-        messages_total += n_msgs
-        bytes_total += n_bytes
-        epoch_seq += 1
-        new_epoch = _Epoch(
-            epoch_id=epoch_seq,
-            target=target,
-            plan=exchange,
-            perturbations=perturbations,
+        n_msgs, n_bytes = network.messages_sent, network.bytes_sent
+        state.messages_total += n_msgs
+        state.bytes_total += n_bytes
+        state.epoch_seq += 1
+        epoch = _Epoch(
+            epoch_id=state.epoch_seq,
+            target=coordinator.target,
+            plan=coordinator.plan,
+            perturbations=[p.perturbation for p in providers],
             sigmas=tuple(levels),
         )
         # The providers already derived their adaptors during the exchange;
         # cache them under the new epoch so every window (and shard task)
         # of the epoch reuses them instead of re-deriving.
-        for party, adaptor in enumerate(adaptors):
-            adaptor_cache.put(new_epoch.epoch_id, party, adaptor)
+        for party, provider in enumerate(providers):
+            self.adaptor_cache.put(epoch.epoch_id, party, provider.adaptor)
         guarantee = None
         if config.compute_privacy and X_normalized is not None:
             guarantee = _epoch_guarantee(
-                new_epoch,
+                epoch,
                 X_normalized,
                 levels,
                 np.random.default_rng(int(master.integers(2**32))),
             )
-        events.append(
+        state.events.append(
             ReadaptationEvent(
                 window=window_index,
                 reason=reason,
@@ -1271,18 +1141,18 @@ def _execute_stream_session(
                 latency=latency,
                 messages=n_msgs,
                 bytes=n_bytes,
-                virtual_duration=virtual,
+                virtual_duration=network.simulator.now,
                 privacy_guarantee=guarantee,
             )
         )
         if span is not None:
             span.end(
-                epoch=epoch_seq, messages=n_msgs, bytes=n_bytes,
+                epoch=state.epoch_seq, messages=n_msgs, bytes=n_bytes,
                 latency=latency,
             )
-        if m_negotiation is not None:
-            m_negotiation.observe(latency)
-            tel.metrics.counter(
+        if self.m_negotiation is not None:
+            self.m_negotiation.observe(latency)
+            self.tel.metrics.counter(
                 "repro_stream_renegotiations_total",
                 "Space negotiations by trigger.",
                 reason=reason,
@@ -1291,40 +1161,45 @@ def _execute_stream_session(
             "negotiated space (%s) at window %d: %.1f ms, %d msgs / %d bytes",
             reason, window_index, latency * 1000.0, n_msgs, n_bytes,
         )
-        return new_epoch
+        return epoch
 
-    def stacked_adaptor_rotations(current: _Epoch) -> np.ndarray:
+    def _adaptor_stack(self, epoch: _Epoch) -> np.ndarray:
         """Per-party ``R_t R_i^{-1}`` maps, stacked ``(k, d, d)``, via cache."""
         return np.stack(
             [
-                adaptor_cache.get_or_compute(
-                    current.epoch_id,
+                self.adaptor_cache.get_or_compute(
+                    epoch.epoch_id,
                     party,
                     lambda party=party: compute_adaptor(
-                        current.perturbations[party], current.target
+                        epoch.perturbations[party], epoch.target
                     ),
                 ).rotation_adaptor
-                for party in range(config.k)
+                for party in range(self.config.k)
             ]
         )
 
+    # ------------------------------------------------------------------
+    # round stages
+    # ------------------------------------------------------------------
     # Rounds move through four stages.  Control runs strictly in window
     # order on the driver; dispatch/settle/merge run strictly in *round*
     # order.  The pipelined driver interleaves stages of different rounds
     # (control N+1 before settle N), which is safe because the stages
-    # touch disjoint session state: control owns the normalizer, drift
-    # detector, trust schedule, epoch, and master RNG; settle owns the
-    # data plane and the two online models; merge owns the accuracy
-    # counters and per-window stats.  Every stage's own sequence is
-    # identical to unpipelined execution, so results are bit-identical.
-    def control(round_windows: List[Window]) -> _Round:
+    # touch disjoint session state: control owns the normalizers, drift
+    # detector, trust levels, epoch, and master RNG; settle owns the data
+    # plane and the two online models; merge owns the accuracy counters
+    # and per-window stats.  Every stage's own sequence is identical to
+    # unpipelined execution, so results are bit-identical.
+    def control(self, round_windows: List[Window]) -> _Round:
         """Stage 1: per-window control-plane decisions, in window order."""
-        nonlocal epoch, last_readapt_window, round_seq
-        round_id = round_seq
-        round_seq += 1
-        if traced:
-            round_span = tracer.span("round", parent=tel.parent, round=round_id)
-            stage = tracer.span("control", parent=round_span, round=round_id)
+        config, state, detector = self.config, self.state, self.detector
+        round_id = state.round_seq
+        state.round_seq += 1
+        if self.traced:
+            round_span = self.tracer.span(
+                "round", parent=self.tel.parent, round=round_id
+            )
+            stage = self.tracer.span("control", parent=round_span, round=round_id)
         else:
             round_span = stage = None
 
@@ -1334,15 +1209,15 @@ def _execute_stream_session(
             X_fresh = window.X[-window.fresh :]
             y_fresh = window.y[-window.fresh :]
 
-            # Normalizer state flows through the merge algebra: the
-            # window's moment contribution is folded into the owner
-            # shard's running state and (in window order) into the global
-            # one, whose frozen snapshot the transform task will use.
+            # Normalizer state flows through the merge algebra: the window's
+            # moment contribution is folded into the owner shard's running
+            # state and (in window order) into the global one, whose frozen
+            # snapshot the transform task will use.
             contribution = make_normalizer(config.normalizer).update(X_fresh)
-            shard = plan.shard_of_window(window.index)
-            shard_normalizers[shard].merge(contribution)
-            normalizer.merge(contribution)
-            frozen = normalizer.to_batch()
+            shard = self.plan.shard_of_window(window.index)
+            state.shard_normalizers[shard].merge(contribution)
+            state.normalizer.merge(contribution)
+            frozen = state.normalizer.to_batch()
             if config.normalizer == "minmax":
                 norm_a, norm_b = frozen.minimums, frozen.maximums
             else:
@@ -1353,88 +1228,62 @@ def _execute_stream_session(
                     return None
                 return frozen.transform(X_fresh)
 
-            if window.revision > 0:
-                # An ``upsert`` correction: this window's control decisions
-                # (trust schedule, drift check, negotiation) were taken when
-                # revision 0 sealed.  The late rows just flow through the
-                # current epoch's transform and the miners.
-                if epoch is None:
-                    # Heavy skew can delay every fresh row of the first
-                    # windows past the watermark, so a correction is the
-                    # first emission the driver sees.  Negotiate the
-                    # initial space for it; the drift reference waits for
-                    # a regular window.
-                    epoch = negotiate("initial", window.index, 0.0, privacy_view())
-                    last_readapt_window = window.index
-                work.append(
-                    _WindowWork(
-                        window=window,
-                        X_fresh=X_fresh,
-                        y_fresh=y_fresh,
-                        norm_a=norm_a,
-                        norm_b=norm_b,
-                        epoch=epoch,
-                        migration=None,
-                        report=DriftReport(
-                            fired=False, statistic=0.0, threshold=np.inf
-                        ),
-                        readapted=False,
-                        shard=shard,
-                    )
-                )
-                continue
-
-            # ----- trust schedule (applies from this window on) ----------
-            changes = trust_by_window.get(window.index, ())
-            for change in changes:
-                trust[change.party] = change.trust
-
-            # ----- space (re-)negotiation --------------------------------
             migration: Optional[SpaceAdaptor] = None
             readapted = False
+            report = DriftReport(fired=False, statistic=0.0, threshold=np.inf)
+            # An ``upsert`` correction (``revision >= 1``) had its control
+            # decisions (trust schedule, drift check, negotiation) taken when
+            # revision 0 sealed; its late rows just flow through the current
+            # epoch's transform and the miners.
+            regular = window.revision == 0
+            changes = self.trust_by_window.get(window.index, ()) if regular else ()
+            for change in changes:
+                state.trust[change.party] = change.trust
             # The detector's reference needs >= 2 rows; under skew a sealed
-            # window can be degenerate (most of its rows arrived late and
-            # fell to the late policy).  Skip the drift check for those —
-            # in-order windows always carry the full window_size rows.
-            window_checkable = window.n_rows >= 2
-            if epoch is None:
-                # A trust change scheduled at the first window is folded
-                # into the initial negotiation's noise levels above.
-                epoch = negotiate("initial", window.index, 0.0, privacy_view())
-                last_readapt_window = window.index
-                if window_checkable:
-                    detector.observe(window.X)  # installs the reference
-                report = DriftReport(fired=False, statistic=0.0, threshold=np.inf)
-            else:
-                if changes:
-                    old_epoch = epoch
-                    epoch = negotiate("trust", window.index, 0.0, privacy_view())
-                    migration = compute_adaptor(old_epoch.target, epoch.target)
-                    stale_epoch_ids.append(old_epoch.epoch_id)
-                    last_readapt_window = window.index
-                    readapted = True
-                report = (
-                    detector.observe(window.X)
-                    if window_checkable
-                    else DriftReport(fired=False, statistic=0.0, threshold=np.inf)
+            # window can be degenerate (most of its rows arrived late and fell
+            # to the late policy).  Skip the drift check for those — in-order
+            # windows always carry the full window_size rows.
+            checkable = regular and window.n_rows >= 2
+            if state.epoch is None:
+                # A trust change scheduled at the first window is folded into
+                # the initial negotiation's noise levels.  Heavy skew can delay
+                # every fresh row of the first windows past the watermark, so a
+                # correction may be the first emission the driver sees; the
+                # drift reference then waits for a regular window.
+                state.epoch = self.negotiate(
+                    "initial", window.index, 0.0, privacy_view()
                 )
+                state.last_readapt_window = window.index
+                if checkable:
+                    detector.observe(window.X)  # installs the reference
+            elif regular:
+                old_epoch = state.epoch
+                if changes:
+                    state.epoch = self.negotiate(
+                        "trust", window.index, 0.0, privacy_view()
+                    )
+                    readapted = True
+                if checkable:
+                    report = detector.observe(window.X)
                 cooled = (
-                    window.index - last_readapt_window >= config.readapt_cooldown
+                    window.index - state.last_readapt_window >= config.readapt_cooldown
                 )
                 if report.fired and cooled and not readapted:
-                    old_epoch = epoch
-                    epoch = negotiate(
+                    state.epoch = self.negotiate(
                         "drift", window.index, report.statistic, privacy_view()
                     )
-                    migration = compute_adaptor(old_epoch.target, epoch.target)
-                    stale_epoch_ids.append(old_epoch.epoch_id)
-                    detector.rebase(window.X)
-                    last_readapt_window = window.index
                     readapted = True
-                elif report.fired and readapted:
-                    # Trust already renegotiated this window; just rebase.
-                    detector.rebase(window.X)
-
+                if readapted:
+                    # The online model migrates to the new space, and the old
+                    # epoch's cached adaptors are invalidated at dispatch.
+                    migration = compute_adaptor(
+                        old_epoch.target, state.epoch.target
+                    )
+                    stale_epoch_ids.append(old_epoch.epoch_id)
+                    state.last_readapt_window = window.index
+                    if report.fired:
+                        # Either re-negotiation makes this window the new reference.
+                        detector.rebase(window.X)
             work.append(
                 _WindowWork(
                     window=window,
@@ -1442,11 +1291,10 @@ def _execute_stream_session(
                     y_fresh=y_fresh,
                     norm_a=norm_a,
                     norm_b=norm_b,
-                    epoch=epoch,
+                    epoch=state.epoch,
                     migration=migration,
                     report=report,
                     readapted=readapted,
-                    shard=shard,
                 )
             )
         if stage is not None:
@@ -1458,17 +1306,17 @@ def _execute_stream_session(
             span=round_span,
         )
 
-    def dispatch(current: _Round) -> None:
+    def dispatch(self, current: _Round) -> None:
         """Stage 2: fan the round's transforms out across the pool."""
         stage = (
-            tracer.span("dispatch", parent=current.span, round=current.round_id)
-            if traced
+            self.tracer.span("dispatch", parent=current.span, round=current.round_id)
+            if self.traced
             else None
         )
         work = current.work
         round_epochs = {item.epoch.epoch_id: item.epoch for item in work}
         stacks = {
-            epoch_id: stacked_adaptor_rotations(round_epoch)
+            epoch_id: self._adaptor_stack(round_epoch)
             for epoch_id, round_epoch in round_epochs.items()
         }
         # Re-negotiation invalidation is deferred to here: windows earlier
@@ -1478,35 +1326,36 @@ def _execute_stream_session(
         # rule), so no dispatched transform ever references a stack built
         # against an epoch invalidated here.
         for epoch_id in current.stale_epoch_ids:
-            adaptor_cache.invalidate(target_id=epoch_id)
+            self.adaptor_cache.invalidate(target_id=epoch_id)
         tasks = [
             {
                 "X": item.X_fresh,
-                "norm_kind": config.normalizer,
+                "norm_kind": self.config.normalizer,
                 "norm_a": item.norm_a,
                 "norm_b": item.norm_b,
                 "rotation": item.epoch.target.rotation,
                 "translation": item.epoch.target.translation,
                 "adaptor_rotations": stacks[item.epoch.epoch_id],
                 "sigmas": np.asarray(item.epoch.sigmas),
-                "noise_root": noise_root,
+                "noise_root": self.noise_root,
                 "window_index": item.window.index,
                 "revision": item.window.revision,
             }
             for item in work
         ]
-        current.transforms = pool.submit_map(transform_window, tasks)
-        live_rounds.append(current)
+        current.transforms = self.pool.submit_map(transform_window, tasks)
+        self.live_rounds.append(current)
         if stage is not None:
             stage.end(tasks=len(tasks))
 
-    def settle(current: _Round) -> None:
+    def settle(self, current: _Round) -> None:
         """Stages 2b/3: gather transforms, charge the network, update models."""
         stage = (
-            tracer.span("settle", parent=current.span, round=current.round_id)
-            if traced
+            self.tracer.span("settle", parent=current.span, round=current.round_id)
+            if self.traced
             else None
         )
+        k, miner, baseline = self.config.k, self.miner, self.baseline
         work = current.work
         assert current.transforms is not None
         for item, result in zip(work, current.transforms.gather()):
@@ -1515,12 +1364,10 @@ def _execute_stream_session(
 
         # ----- stage 2b: charge the data movement to the network ---------
         for item in work:
-            parties = np.arange(item.X_fresh.shape[0]) % config.k
-            slices = [
-                item.X_target[parties == party] for party in range(config.k)
-            ]
-            data_plane.route_window(item.window.index, slices, item.X_target)
-        data_plane.flush()
+            parties = np.arange(item.X_fresh.shape[0]) % k
+            slices = [item.X_target[parties == party] for party in range(k)]
+            self.data_plane.route_window(item.window.index, slices, item.X_target)
+        self.data_plane.flush()
 
         # ----- stage 3: sequential model bookkeeping + snapshots ---------
         predict_tasks = []
@@ -1537,30 +1384,28 @@ def _execute_stream_session(
             baseline.partial_fit(item.X_norm, item.y_fresh)
 
         # ----- stage 4: prequential predictions fan out ------------------
-        current.predictions = pool.submit_map(predict_window, predict_tasks)
+        current.predictions = self.pool.submit_map(predict_window, predict_tasks)
         if stage is not None:
             stage.end(windows=len(work))
 
-    def merge(current: _Round) -> None:
+    def merge(self, current: _Round) -> None:
         """Stage 5: gather predictions and merge stats, in window order."""
-        nonlocal correct_perturbed, correct_baseline, scored
+        state = self.state
         stage = (
-            tracer.span("merge", parent=current.span, round=current.round_id)
-            if traced
+            self.tracer.span("merge", parent=current.span, round=current.round_id)
+            if self.traced
             else None
         )
         assert current.predictions is not None
         predictions = current.predictions.gather()
-        live_rounds.remove(current)
+        self.live_rounds.remove(current)
         for index, item in enumerate(current.work):
-            pred_perturbed = predictions[2 * index]
-            pred_baseline = predictions[2 * index + 1]
-            acc_perturbed = accuracy_score(item.y_fresh, pred_perturbed)
-            acc_baseline = accuracy_score(item.y_fresh, pred_baseline)
-            correct_perturbed += int(round(acc_perturbed * item.window.fresh))
-            correct_baseline += int(round(acc_baseline * item.window.fresh))
-            scored += item.window.fresh
-            window_stats.append(
+            acc_perturbed = accuracy_score(item.y_fresh, predictions[2 * index])
+            acc_baseline = accuracy_score(item.y_fresh, predictions[2 * index + 1])
+            state.correct_perturbed += int(round(acc_perturbed * item.window.fresh))
+            state.correct_baseline += int(round(acc_baseline * item.window.fresh))
+            state.scored += item.window.fresh
+            state.window_stats.append(
                 StreamWindowStats(
                     index=item.window.index,
                     n_records=item.window.fresh,
@@ -1576,225 +1421,185 @@ def _execute_stream_session(
             stage.end(windows=len(current.work))
         if current.span is not None:
             current.span.end(windows=len(current.work))
-        if m_rounds is not None:
-            m_rounds.inc()
-            m_windows.inc(len(current.work))
+        if self.m_rounds is not None:
+            self.m_rounds.inc()
+            self.m_windows.inc(len(current.work))
 
-    # ----- the (double-buffered) round pipeline ------------------------
-    # ``inflight`` has its transforms dispatched and awaits settling;
-    # ``scoring`` is settled and awaits its prediction merge.  At steady
-    # state the pool holds round N+1's transforms *and* round N's
-    # predictions while the driver ingests records and runs round N+2's
-    # control plane — the overlap that hides driver latency.  Gathering
-    # always happens in strict round order, so merge order, the
-    # normalizer merge algebra, noise keying, and re-negotiation points
-    # are untouched and results stay bit-identical to serial dispatch.
-    live_rounds: List[_Round] = []
-    inflight: Optional[_Round] = None
-    scoring: Optional[_Round] = None
-
-    def drain() -> None:
+    # ------------------------------------------------------------------
+    # the pipeline
+    # ------------------------------------------------------------------
+    def drain(self) -> None:
         """Finish every in-flight round, oldest first."""
-        nonlocal inflight, scoring
-        if scoring is None and inflight is None:
+        if self.scoring is None and self.inflight is None:
             return
-        span = tracer.span("drain", parent=tel.parent) if traced else None
+        span = (
+            self.tracer.span("drain", parent=self.tel.parent) if self.traced else None
+        )
         drained = 0
-        if scoring is not None:
-            merge(scoring)
-            scoring = None
+        if self.scoring is not None:
+            self.merge(self.scoring)
+            self.scoring = None
             drained += 1
-        if inflight is not None:
-            settle(inflight)
-            merge(inflight)
-            inflight = None
+        if self.inflight is not None:
+            self.settle(self.inflight)
+            self.merge(self.inflight)
+            self.inflight = None
             drained += 1
         if span is not None:
             span.end(rounds=drained)
 
-    def feed(round_windows: List[Window]) -> None:
+    def feed(self, round_windows: List[Window]) -> None:
         """Push one sealed round of windows into the pipeline."""
-        nonlocal inflight, scoring
-        current = control(round_windows)
+        current = self.control(round_windows)
         if current.stale_epoch_ids:
             # The re-negotiation drain rule: a round that replaced the
             # epoch finishes everything still in flight *before* its
             # dispatch invalidates the stale epoch's cached adaptors —
             # no transform ever executes against a replaced space's
             # speculative state.
-            drain()
-        dispatch(current)
-        if not overlap_enabled:
-            settle(current)
-            merge(current)
+            self.drain()
+        self.dispatch(current)
+        if not self.overlap:
+            self.settle(current)
+            self.merge(current)
             return
-        if scoring is not None:
-            merge(scoring)
-            scoring = None
-        if inflight is not None:
-            settle(inflight)
-            scoring = inflight
-        inflight = current
+        if self.scoring is not None:
+            self.merge(self.scoring)
+            self.scoring = None
+        if self.inflight is not None:
+            self.settle(self.inflight)
+            self.scoring = self.inflight
+        self.inflight = current
 
-    def abort() -> None:
+    def abort(self) -> None:
         """Cancel whatever is still in flight (no-op after a clean drain)."""
-        for stale in list(live_rounds):
+        for stale in list(self.live_rounds):
             for handle in (stale.transforms, stale.predictions):
                 if handle is not None:
                     handle.cancel()
-            live_rounds.remove(stale)
+            self.live_rounds.remove(stale)
 
-    def checkpoint_payload() -> Dict[str, Any]:
-        """Capture the session's full mutable surface (drained pipeline).
-
-        Only valid at a round boundary after :func:`drain` — with rounds
-        in flight, part of the state below would still be speculative.
-        """
-        return {
-            "format": STREAM_CHECKPOINT_FORMAT,
-            "config": config,
-            "source": _source_mapping(source),
-            "progress": {
-                "records": records,
-                "windows": len(window_stats),
-                "epochs": epoch_seq,
-            },
-            "state": {
-                "master_rng": master.bit_generator.state,
-                "normalizer": _normalizer_state(normalizer),
-                "shard_normalizers": [
-                    _normalizer_state(n) for n in shard_normalizers
-                ],
-                "detector_reference": (
-                    None
-                    if detector._reference is None
-                    else detector._reference.copy()
-                ),
-                "miner": _miner_state(miner),
-                "baseline": _miner_state(baseline),
-                "trust": dict(trust),
-                "epoch": epoch,
-                "adaptors": adaptor_cache.snapshot(),
-                "ingest": _ingest_state(plane),
-                "data_plane": _data_plane_state(data_plane),
-                "epoch_seq": epoch_seq,
-                "round_seq": round_seq,
-                "messages_total": messages_total,
-                "bytes_total": bytes_total,
-                "correct_perturbed": correct_perturbed,
-                "correct_baseline": correct_baseline,
-                "scored": scored,
-                "records": records,
-                "last_readapt_window": last_readapt_window,
-                "events": list(events),
-                "window_stats": list(window_stats),
-            },
-        }
-
-    start = time.perf_counter()
-    try:
-        pending: List[Window] = []
-        # Providers push records through their gates; the driver no longer
-        # pulls into a global buffer.  ``skew`` simulates an out-of-order
-        # transport, deterministically under the session seed.
-        if hasattr(source, "chunks"):
-            arrivals = skewed_chunks(source.chunks(), config.skew, seed=config.seed)
-        else:
-            # Any iterable of records is a source; it travels packed.
-            arrivals = chunked(
-                skewed(source, config.skew, seed=config.seed)
-                if config.skew
-                else source
-            )
-        # Resuming: the source (and the skew shuffler) regenerate the same
-        # arrival order from their seeds, so skipping the already ingested
-        # prefix replays the stream from the exact record the checkpoint
-        # stopped at.
-        skip = records
-        # Checkpoint progress is measured in windows *fed* to the pipeline
-        # (``window_stats`` lags while rounds are in flight); after the
-        # pre-checkpoint drain the two counts coincide.
-        windows_fed = len(window_stats)
-        for chunk in arrivals:
-            if skip >= len(chunk):
-                skip -= len(chunk)
-                continue
-            chunk, skip = chunk[skip:], 0
-            while len(chunk):
-                # The limit stops ingestion on the record a per-record
-                # driver would have fed a round after.
-                sealed, used = plane.push_chunk(chunk, config.shards - len(pending))
-                records += used
-                chunk = chunk[used:]
-                pending.extend(sealed)
-                if len(pending) < config.shards:
+    def run(self) -> StreamSessionResult:
+        """Ingest the source to its end, round by round, and report."""
+        config, state, plane, checkpointer = (
+            self.config, self.state, self.plane, self.checkpointer
+        )
+        start = time.perf_counter()
+        try:
+            pending: List[Window] = []
+            # Providers push records through their gates; the driver no
+            # longer pulls into a global buffer.  ``skew`` simulates an
+            # out-of-order transport, deterministically under the seed.
+            source = self.source
+            if hasattr(source, "chunks"):
+                arrivals = skewed_chunks(source.chunks(), config.skew, seed=config.seed)
+            else:
+                # Any iterable of records is a source; it travels packed.
+                arrivals = chunked(
+                    skewed(source, config.skew, seed=config.seed)
+                    if config.skew
+                    else source
+                )
+            # Resuming: the source (and the skew shuffler) regenerate the
+            # same arrival order from their seeds, so skipping the already
+            # ingested prefix replays the stream from the exact record the
+            # checkpoint stopped at.
+            skip = state.records
+            # Checkpoint progress is measured in windows *fed* to the
+            # pipeline (``window_stats`` lags while rounds are in flight);
+            # after the pre-checkpoint drain the two counts coincide.
+            windows_fed = len(state.window_stats)
+            for chunk in arrivals:
+                if skip >= len(chunk):
+                    skip -= len(chunk)
                     continue
-                windows_fed += len(pending)
-                feed(pending)
-                pending = []
-                if checkpointer is not None and checkpointer.due(windows_fed):
-                    # Draining first is what makes a checkpoint a clean
-                    # round boundary; it only changes execution overlap,
-                    # never merge order, so taking one cannot perturb the
-                    # session fingerprint.
-                    drain()
-                    path = checkpointer.save(checkpoint_payload())
-                    if checkpointer.evict_requested:
-                        raise SessionEvicted(path, len(window_stats), records)
-        # The legacy driver never flushed its buffer, so a stream whose
-        # length is not a multiple of the window size dropped the partial
-        # remainder.  Keep that behavior (it is what the pre-redesign
-        # fingerprints pin) — except rows *readmitted* into the tail,
-        # which the readmit policy promises never to lose.
-        pending.extend(plane.finish(emit_partial_tail=False))
-        if pending:
-            feed(pending)
-        drain()
-    finally:
-        abort()
-        pool.close()
-    wall = time.perf_counter() - start
-    if m_records is not None:
-        m_records.inc(records)
+                chunk, skip = chunk[skip:], 0
+                while len(chunk):
+                    # The limit stops ingestion on the record a per-record
+                    # driver would have fed a round after.
+                    sealed, used = plane.push_chunk(
+                        chunk, config.shards - len(pending)
+                    )
+                    state.records += used
+                    chunk = chunk[used:]
+                    pending.extend(sealed)
+                    if len(pending) < config.shards:
+                        continue
+                    windows_fed += len(pending)
+                    self.feed(pending)
+                    pending = []
+                    if checkpointer is not None and checkpointer.due(windows_fed):
+                        # Draining first is what makes a checkpoint a clean
+                        # round boundary; it only changes execution overlap,
+                        # never merge order, so taking one cannot perturb
+                        # the session fingerprint.
+                        self.drain()
+                        path = checkpointer.save(self.checkpoint())
+                        if checkpointer.evict_requested:
+                            raise SessionEvicted(
+                                path, len(state.window_stats), state.records
+                            )
+            # The legacy driver never flushed its buffer, so a stream whose
+            # length is not a multiple of the window size dropped the
+            # partial remainder.  Keep that behavior (it is what the
+            # pre-redesign fingerprints pin) — except rows *readmitted*
+            # into the tail, which the readmit policy promises never to lose.
+            pending.extend(plane.finish(emit_partial_tail=False))
+            if pending:
+                self.feed(pending)
+            self.drain()
+        finally:
+            self.abort()
+            self.pool.close()
+        wall = time.perf_counter() - start
+        if self.m_records is not None:
+            self.m_records.inc(state.records)
+        self._check_normalizer_merge()
+        return StreamSessionResult(
+            config=config,
+            source_name=source.name,
+            source_kind=source.kind,
+            records_processed=state.records,
+            windows=state.window_stats,
+            events=state.events,
+            accuracy_perturbed=(
+                state.correct_perturbed / state.scored if state.scored else 0.0
+            ),
+            accuracy_baseline=(
+                state.correct_baseline / state.scored if state.scored else 0.0
+            ),
+            wall_seconds=wall,
+            messages_sent=state.messages_total,
+            bytes_sent=state.bytes_total,
+            data_messages_sent=self.data_plane.messages_sent,
+            data_bytes_sent=self.data_plane.bytes_sent,
+            shard_records=tuple(self.data_plane.shard_records),
+            ingest=plane.stats(),
+            provider_records=tuple(self.data_plane.provider_records),
+            overlap=self.overlap,
+        )
 
-    # Invariant of the merge algebra: folding the per-shard normalizer
-    # states together (fixed shard order) must reproduce the unsharded
-    # state — exactly for min/max bounds, to fp rounding for Welford
-    # moments (shard order vs window order merge).
-    if normalizer.n_seen:
-        merged = make_normalizer(config.normalizer)
-        for shard_state in shard_normalizers:
+    def _check_normalizer_merge(self) -> None:
+        """Invariant of the merge algebra.
+
+        Folding the per-shard normalizer states together (fixed shard
+        order) must reproduce the unsharded state — exactly for min/max
+        bounds, to fp rounding for Welford moments (shard order vs window
+        order merge).
+        """
+        normalizer = self.state.normalizer
+        if not normalizer.n_seen:
+            return
+        merged = make_normalizer(self.config.normalizer)
+        for shard_state in self.state.shard_normalizers:
             merged.merge(shard_state)
-        consistent = merged.n_seen == normalizer.n_seen
-        if consistent and config.normalizer == "minmax":
-            consistent = np.array_equal(
-                merged.minimums, normalizer.minimums
-            ) and np.array_equal(merged.maximums, normalizer.maximums)
-        elif consistent:
-            consistent = np.allclose(
-                merged.means, normalizer.means, rtol=1e-8, atol=1e-12
-            )
+        consistent = merged.n_seen == normalizer.n_seen and (
+            np.array_equal(merged.minimums, normalizer.minimums)
+            and np.array_equal(merged.maximums, normalizer.maximums)
+            if self.config.normalizer == "minmax"
+            else np.allclose(merged.means, normalizer.means, rtol=1e-8, atol=1e-12)
+        )
         if not consistent:
             raise RuntimeError(
                 "per-shard normalizer states diverged from the unsharded state"
             )
-
-    return StreamSessionResult(
-        config=config,
-        source_name=source.name,
-        source_kind=source.kind,
-        records_processed=records,
-        windows=window_stats,
-        events=events,
-        accuracy_perturbed=correct_perturbed / scored if scored else 0.0,
-        accuracy_baseline=correct_baseline / scored if scored else 0.0,
-        wall_seconds=wall,
-        messages_sent=messages_total,
-        bytes_sent=bytes_total,
-        data_messages_sent=data_plane.messages_sent,
-        data_bytes_sent=data_plane.bytes_sent,
-        shard_records=tuple(data_plane.shard_records),
-        ingest=plane.stats(),
-        provider_records=tuple(data_plane.provider_records),
-        overlap=overlap_enabled,
-    )

@@ -24,8 +24,12 @@ from repro.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.cli import main
 from repro.serve import MiningService, SessionSpec
 from repro.streaming import (
+    IngestPlane,
+    OnlineLinearSVM,
+    RunningZScoreNormalizer,
     StreamConfig,
     TrustChange,
     make_stream,
@@ -163,6 +167,98 @@ def test_resume_refuses_different_source(tmp_path):
         _run(checkpointer=checkpointer, shards=2)
     with pytest.raises(CheckpointError, match="different stream source"):
         _run(resume_from=excinfo.value.path, shards=2, source_seed=4)
+
+
+# ----------------------------------------------------------------------
+# resume refuses a digest-valid checkpoint whose state does not fit
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def evicted_wine(tmp_path_factory):
+    """A wine 12x32 stream on 2 shards, evicted at window 6."""
+    checkpointer = Checkpointer(
+        directory=str(tmp_path_factory.mktemp("wine")), stop_after=6
+    )
+    source = make_stream("wine", kind="abrupt", n_records=12 * 32, seed=3)
+    config = StreamConfig(k=3, window_size=32, shards=2, seed=7)
+    with pytest.raises(SessionEvicted) as excinfo:
+        run_stream_session(source, config, checkpointer=checkpointer)
+    return excinfo.value.path
+
+
+def _cut_gates(payload):
+    payload["state"].ingest.gates = payload["state"].ingest.gates[:1]
+
+
+def _cut_provider_records(payload):
+    data_plane = payload["state"].data_plane
+    data_plane.provider_records = data_plane.provider_records[:2]
+
+
+def _svm_miner(payload):
+    payload["state"].miner = OnlineLinearSVM().snapshot()
+
+
+def _state_list(payload):
+    payload["state"] = [1]
+
+
+def _state_without_miner(payload):
+    state = vars(payload["state"])
+    payload["state"] = {name: state[name] for name in state if name != "miner"}
+
+
+def _no_miner(payload):
+    payload["state"].miner = None
+
+
+def _cut_shard_normalizer(payload):
+    payload["state"].shard_normalizers.pop()
+
+
+def _swap_normalizer(payload):
+    payload["state"].normalizer = RunningZScoreNormalizer()
+
+
+def _narrow_reservoir(payload):
+    payload["state"].miner.rows = payload["state"].miner.rows[:, :5]
+
+
+@pytest.mark.parametrize(
+    "damage, part",
+    [
+        (_cut_gates, "ingest state"),
+        (_cut_provider_records, "data-plane state"),
+        (_svm_miner, "miner state"),
+        (_state_list, "state is a list"),
+        (_state_without_miner, "state is a dict"),
+        (_no_miner, "miner state"),
+        (_cut_shard_normalizer, "normalizer states"),
+        (_swap_normalizer, "normalizer states"),
+        (_narrow_reservoir, "miner state"),
+    ],
+)
+def test_resume_refuses_damaged_state_before_ingesting(
+    evicted_wine, tmp_path, monkeypatch, capsys, damage, part
+):
+    payload = load_checkpoint(evicted_wine).payload
+    damage(payload)
+    path = str(tmp_path / "damaged.ckpt")
+    save_checkpoint(path, payload)  # a valid digest over damaged state
+
+    def never(*args, **kwargs):
+        raise AssertionError("a record was ingested before the refusal")
+
+    monkeypatch.setattr(IngestPlane, "push_chunk", never)
+    code = main(["stream", "--resume-from", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+    assert part in err
+
+
+def test_undamaged_wine_checkpoint_resumes(evicted_wine, capsys):
+    assert main(["stream", "--resume-from", evicted_wine, "--json"]) == 0
+    assert '"records_processed": 384' in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,17 @@ def test_schema_version_mismatch_refused():
         loads_checkpoint(bumped + raw[_HEADER.size:])
 
 
+def test_schema_2_checkpoint_refused():
+    # Version 2 kept the session state as a driver-built mapping; version
+    # 3 keeps one run-state record, and there is no migration.
+    assert SCHEMA_VERSION == 3
+    raw = dumps_checkpoint(_payload())
+    _, _, digest, length = _HEADER.unpack_from(raw)
+    old = _HEADER.pack(MAGIC, 2, digest, length)
+    with pytest.raises(CheckpointError, match="schema version 2"):
+        loads_checkpoint(old + raw[_HEADER.size:])
+
+
 def test_length_mismatch_refused():
     raw = dumps_checkpoint(_payload())
     with pytest.raises(CheckpointError, match="promises"):

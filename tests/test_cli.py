@@ -6,6 +6,7 @@ import pytest
 
 from repro import SAPConfig
 from repro.cli import build_parser, main
+from repro.streaming import StreamConfig
 
 
 def run_cli(capsys, *argv):
@@ -611,8 +612,25 @@ def test_checkpoint_inspect_empty_directory(capsys, tmp_path):
             {"state": {}, "config": SAPConfig(), "source": {}, "progress": {}},
             "not a StreamConfig",
         ),
+        (
+            ["stream", "--resume-from"],
+            {
+                "state": {},
+                "config": StreamConfig(),
+                "source": {
+                    "kind": "abrupt", "n_records": 64, "seed": 0,
+                    "drift_at": 0.5, "magnitude": 1.5, "transition": 0.2,
+                    "rate": 1000.0, "burst_factor": 8.0, "dimension": 13,
+                },
+                "progress": {},
+            },
+            "source lacks name",
+        ),
     ],
-    ids=["inspect-config-list", "inspect-bare", "resume-bare", "resume-batch"],
+    ids=[
+        "inspect-config-list", "inspect-bare", "resume-bare", "resume-batch",
+        "resume-source-without-name",
+    ],
 )
 def test_digest_valid_checkpoint_with_a_bad_part_exits_cleanly(
     capsys, tmp_path, command, payload, part
@@ -626,6 +644,23 @@ def test_digest_valid_checkpoint_with_a_bad_part_exits_cleanly(
     assert code == 2
     assert err.startswith("error: checkpoint ") and err.count("\n") == 1
     assert part in err
+
+
+def test_stream_resume_refuses_a_schema_2_checkpoint(capsys, tmp_path):
+    import struct
+
+    from repro.checkpoint import save_checkpoint
+
+    path = tmp_path / "schema2.ckpt"
+    save_checkpoint(str(path), {"state": {}})
+    raw = bytearray(path.read_bytes())
+    raw[4:6] = struct.pack(">H", 2)
+    path.write_bytes(bytes(raw))
+    code = main(["stream", "--resume-from", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+    assert "schema version 2" in err
 
 
 # ----------------------------------------------------------------------

@@ -69,12 +69,15 @@ def _round_trip(value):
 def test_registered_names_are_pinned():
     # Widening the allowlist is a visible decision: update this set.
     assert set(codec._REGISTRY) == {
-        "ClassifierSpec", "ExchangePlan", "GeometricPerturbation",
-        "IngestStats", "MinerResult", "PartitionScheme", "PartyRiskProfile",
-        "PoolStats", "ProviderGate", "ReadaptationEvent", "SAPConfig",
-        "SAPSessionResult", "ServiceStats", "SpaceAdaptor", "StreamConfig",
-        "StreamSessionResult", "StreamWindowStats", "TenantStats",
-        "TrustChange", "_Epoch",
+        "ClassifierSpec", "DataPlaneState", "ExchangePlan",
+        "GeometricPerturbation", "IngestState", "IngestStats",
+        "LinearSVMState", "MinerResult", "PartitionScheme",
+        "PartyRiskProfile", "PoolStats", "ProviderGate", "ReadaptationEvent",
+        "ReservoirKNNState", "RunningMinMaxNormalizer",
+        "RunningZScoreNormalizer", "SAPConfig", "SAPSessionResult",
+        "ServiceStats", "SpaceAdaptor", "StreamConfig", "StreamSessionResult",
+        "StreamWindowStats", "TenantStats", "TrustChange", "_Epoch",
+        "_RunState",
     }
 
 
@@ -164,8 +167,8 @@ def test_mid_stream_checkpoint_payload_round_trips_to_the_same_bytes(tmp_path):
     payload = load_checkpoint(path).payload
     state = payload["state"]
     assert isinstance(payload["config"], StreamConfig)
-    assert state["epoch"].epoch_id == 2  # initial + the trust change
-    assert state["adaptors"] and state["events"] and state["window_stats"]
+    assert state.epoch.epoch_id == 2  # initial + the trust change
+    assert state.adaptors and state.events and state.window_stats
     _round_trip(payload)
     with open(path, "rb") as handle:
         assert dumps_checkpoint(payload) == handle.read()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.checkpoint import decode, encode
 from repro.streaming.drift import KSDetector, MeanVarianceDetector, make_detector
 from repro.streaming.sources import make_stream
 from repro.streaming.windows import TumblingWindow
@@ -105,3 +106,16 @@ def test_validation_errors():
         KSDetector(alpha=0.2)
     with pytest.raises(ValueError):
         make_detector("page-hinkley")
+
+
+@pytest.mark.parametrize("kind", ["meanvar", "ks"])
+def test_reference_round_trip_continues_identically(kind):
+    rng = np.random.default_rng(4)
+    live = make_detector(kind)
+    assert live.reference is None
+    live.observe(rng.normal(size=(64, 3)))
+    restored = make_detector(kind)
+    restored.rebase(decode(encode(live.reference)))
+    window = rng.normal(loc=0.5, size=(64, 3))
+    assert live.observe(window) == restored.observe(window)
+    assert encode(restored.reference) == encode(live.reference)

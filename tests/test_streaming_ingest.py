@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.checkpoint import CheckpointError, decode, encode
 from repro.sharding import ShardPlan
 from repro.streaming.ingest import LATE_POLICIES, IngestPlane
 from repro.streaming.sources import StreamRecord, skewed
@@ -384,3 +385,43 @@ def test_sealing_cost_does_not_grow_with_the_sequence_gap(kind, step, far_window
     assert [(w.index, w.X[:, 0].tolist()) for w in sealed] == [
         (0, [0.0]), (far_window, [far]),
     ]
+
+
+# ----------------------------------------------------------------------
+# checkpoints: a restored plane seals what the original would have
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind, step", [("tumbling", None), ("sliding", 4)])
+@pytest.mark.parametrize("policy", ["readmit", "upsert"])
+def test_snapshot_restore_seals_what_the_original_would(kind, step, policy):
+    records = list(skewed(seq_records(160, d=2), 20, seed=3))
+    knobs = dict(shards=2, kind=kind, size=8, step=step, policy=policy)
+    plane = make_plane(**knobs)
+    # Stop where the snapshot holds open rows and the policy's pending
+    # late rows: readmitted rows, or corrections not yet emitted.
+    for cut, record in enumerate(records):
+        plane.push(record)
+        state = plane.snapshot()
+        pending = (
+            [readmitted for shard in state.open for _, readmitted in shard.values()]
+            if policy == "readmit"
+            else list(state.corrections.values())
+        )
+        if any(state.open) and any(pending):
+            break
+    else:
+        pytest.fail("the stream never left late rows pending")
+    restored = make_plane(**knobs)
+    restored.restore(decode(encode(state)), dimension=2)
+    rest = records[cut + 1 :]
+    sealed = [[w for r in rest for w in p.push(r)] for p in (plane, restored)]
+    windows_equal(*sealed)
+    assert encode(restored.snapshot()) == encode(plane.snapshot())
+    windows_equal(plane.finish(), restored.finish())
+
+
+def test_restore_refuses_another_layout():
+    state = make_plane(shards=2).snapshot()
+    with pytest.raises(CheckpointError, match="ingest state"):
+        make_plane(shards=2, k=2).restore(state)
+    with pytest.raises(CheckpointError, match="ingest state"):
+        make_plane(shards=3).restore(state)

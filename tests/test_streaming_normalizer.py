@@ -200,3 +200,19 @@ def test_merge_rejects_mismatched_dimensions():
     zb = RunningZScoreNormalizer().update(np.ones((4, 5)))
     with pytest.raises(ValueError):
         za.merge(zb)
+
+
+@pytest.mark.parametrize("kind", ["minmax", "zscore"])
+def test_checkpoint_round_trip_continues_identically(kind):
+    # A running normalizer is its own checkpoint record.
+    from repro.checkpoint import decode, encode
+
+    rng = np.random.default_rng(11)
+    live = make_normalizer(kind).update(rng.normal(size=(40, 5)))
+    restored = decode(encode(live))
+    assert type(restored) is type(live)
+    batch = rng.normal(size=(16, 5)) * 3.0
+    assert np.array_equal(
+        live.update_transform(batch), restored.update_transform(batch)
+    )
+    assert encode(restored) == encode(live)

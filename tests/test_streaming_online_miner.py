@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.checkpoint import CheckpointError, decode, encode
 from repro.core.adaptation import compute_adaptor
 from repro.core.perturbation import sample_perturbation
 from repro.streaming.online_miner import (
@@ -129,3 +130,36 @@ def test_reservoir_preserves_arbitrary_label_types():
     mixed.partial_fit(np.zeros((2, 2)), np.array([1, 2]))
     mixed.partial_fit(np.ones((1, 2)) * 9, np.array([2.7]))
     assert float(mixed.predict(np.ones((1, 2)) * 9)[0]) == 2.7
+
+
+@pytest.mark.parametrize(
+    "name, seen",
+    [("knn", 40), ("knn", 100), ("linear_svm", 60)],
+    ids=["knn-filling", "knn-full", "linear_svm"],
+)
+def test_snapshot_restore_continues_identically(name, seen, rng):
+    params = {"capacity": 64} if name == "knn" else {}
+    live = make_online_classifier(name, seed=3, **params)
+    live.partial_fit(*two_blobs(rng, n=seen))
+    restored = make_online_classifier(name, seed=99, **params)
+    restored.restore(decode(encode(live.snapshot())), dimension=4)
+    X, y = two_blobs(rng, n=32)  # crosses the reservoir's capacity at 40
+    probe, _ = two_blobs(rng, n=20)
+    for model in (live, restored):
+        model.partial_fit(X, y)
+    assert np.array_equal(live.predict(probe), restored.predict(probe))
+    assert encode(restored.snapshot()) == encode(live.snapshot())
+
+
+def test_restore_refuses_another_learner_or_width(rng):
+    knn, svm = ReservoirKNN(), OnlineLinearSVM()
+    knn.partial_fit(*two_blobs(rng, n=20))
+    svm.partial_fit(*two_blobs(rng, n=20))
+    with pytest.raises(CheckpointError, match="miner state"):
+        ReservoirKNN().restore(svm.snapshot())
+    with pytest.raises(CheckpointError, match="miner state"):
+        OnlineLinearSVM().restore(knn.snapshot())
+    with pytest.raises(CheckpointError, match="miner state"):
+        ReservoirKNN().restore(knn.snapshot(), dimension=5)
+    with pytest.raises(CheckpointError, match="miner state"):
+        OnlineLinearSVM().restore(svm.snapshot(), dimension=5)

@@ -291,3 +291,29 @@ def test_config_validation():
     source = make_stream("iris", n_records=64, seed=0)
     with pytest.raises(ValueError):
         run_stream_session(source, config)
+
+
+def test_driver_stages_run_one_at_a_time():
+    # The driver is an object, so a round can be walked through its
+    # stages by hand: control negotiates, settle trains, merge scores.
+    from repro.streaming.stream_session import _StreamRun
+
+    source = make_stream("iris", kind="stationary", n_records=4 * 32, seed=0)
+    run = _StreamRun(
+        source, StreamConfig(k=3, window_size=32, compute_privacy=False)
+    )
+    try:
+        sealed, used = run.plane.push_chunk(next(source.chunks()))
+        assert used == 4 * 32 and [w.index for w in sealed] == [0, 1, 2]
+        current = run.control(sealed)
+        assert [e.reason for e in run.state.events] == ["initial"]
+        assert (current.round_id, run.state.round_seq) == (0, 1)
+        assert run.state.window_stats == [] and run.miner.n_seen == 0
+        run.dispatch(current)
+        run.settle(current)
+        assert run.miner.n_seen == 3 * 32
+        run.merge(current)
+        assert [w.index for w in run.state.window_stats] == [0, 1, 2]
+        assert run.state.scored == 3 * 32 and not run.live_rounds
+    finally:
+        run.pool.close()

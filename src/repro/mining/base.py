@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Classifier", "check_fitted", "validate_Xy"]
+__all__ = ["Classifier", "check_count", "check_fitted", "validate_Xy"]
 
 
 def validate_Xy(X: np.ndarray, y: Optional[np.ndarray] = None) -> Tuple[np.ndarray, Optional[np.ndarray]]:
@@ -38,6 +38,12 @@ def validate_Xy(X: np.ndarray, y: Optional[np.ndarray] = None) -> Tuple[np.ndarr
     if y.shape != (X.shape[0],):
         raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     return X, y
+
+
+def check_count(name: str, value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= 1 (not a bool)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def check_fitted(classifier: "Classifier") -> None:

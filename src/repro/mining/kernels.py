@@ -29,12 +29,16 @@ Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def pairwise_sq_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of ``X`` and rows of ``Z``.
 
-    Uses the expansion ``|x - z|^2 = |x|^2 + |z|^2 - 2 x.z`` and clamps tiny
-    negatives produced by floating-point cancellation.
+    Uses the expansion ``|x - z|^2 = (|x|^2 + |z|^2) - 2 x.z`` and clamps
+    tiny negatives produced by floating-point cancellation.  The product
+    is finished in place: doubling is exact, so every entry rounds as the
+    expression with fresh temporaries would.
     """
-    x_sq = np.sum(X * X, axis=1)[:, None]
-    z_sq = np.sum(Z * Z, axis=1)[None, :]
-    sq = x_sq + z_sq - 2.0 * (X @ Z.T)
+    sq = X @ Z.T
+    # Integer rows give float distances, as ``2.0 * (X @ Z.T)`` would.
+    sq = sq.astype(np.result_type(sq, 2.0), copy=False)
+    sq *= 2.0
+    np.subtract(np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1), sq, out=sq)
     np.maximum(sq, 0.0, out=sq)
     return sq
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..checkpoint import CheckpointError, register
 from ..core.adaptation import SpaceAdaptor
-from ..mining.base import validate_Xy
+from ..mining.base import check_count, validate_Xy
 from ..mining.knn import KNNClassifier
 
 __all__ = [
@@ -119,8 +119,8 @@ class ReservoirKNN(OnlineClassifier):
     """
 
     def __init__(self, capacity: int = 256, n_neighbors: int = 5, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        check_count("capacity", capacity)
+        check_count("n_neighbors", n_neighbors)
         self.capacity = capacity
         self.n_neighbors = n_neighbors
         self.rng = np.random.default_rng(seed)
@@ -394,7 +394,7 @@ def predict_from_state(state: Dict[str, object], X: np.ndarray) -> np.ndarray:
     if kind == "knn":
         if state["rows"] is None:
             return np.zeros(X.shape[0], dtype=int)
-        model = KNNClassifier(n_neighbors=int(state["n_neighbors"])).fit(
+        model = KNNClassifier(n_neighbors=state["n_neighbors"]).fit(
             np.asarray(state["rows"]), np.asarray(state["labels"])
         )
         return model.predict(X)

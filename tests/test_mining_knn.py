@@ -70,6 +70,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             KNNClassifier(weights="quadratic")
 
+    @pytest.mark.parametrize("name", ["n_neighbors", "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, True, "3", None])
+    def test_counts_must_be_positive_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            KNNClassifier(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self, small_dataset):
+        model = KNNClassifier(n_neighbors=np.int64(3), batch_size=np.int32(8))
+        model.fit(small_dataset.X, small_dataset.y)
+        assert model.score(small_dataset.X, small_dataset.y) > 0.9
+
     def test_non_finite_input_rejected(self, small_dataset):
         X = small_dataset.X.copy()
         X[0, 0] = np.nan

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.parties.config import SAPConfig, ClassifierSpec
-from repro.serve import SessionSpec
+from repro.serve import SessionSpec, execute_spec
 from repro.streaming import StreamConfig, TrustChange, make_stream
 
 
@@ -246,3 +246,17 @@ def test_display_label():
         "default/batch:wine"
     )
     assert SessionSpec(label="my-run").display_label == "my-run"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SessionSpec(kind="batch", dataset="iris", classifier="knn",
+                    classifier_params={"batch_size": -1}, seed=3),
+        SessionSpec(kind="stream", dataset="iris", windows=3, window_size=32,
+                    classifier_params={"n_neighbors": 2.5}, seed=3),
+    ],
+)
+def test_bad_knn_params_fail_the_session_instead_of_scoring(spec):
+    with pytest.raises(ValueError, match="batch_size|n_neighbors"):
+        execute_spec(spec)

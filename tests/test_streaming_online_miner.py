@@ -10,6 +10,7 @@ from repro.streaming.online_miner import (
     OnlineLinearSVM,
     ReservoirKNN,
     make_online_classifier,
+    predict_from_state,
 )
 
 
@@ -106,6 +107,19 @@ def test_svm_discovers_classes_online(rng):
 def test_validation_errors(rng):
     with pytest.raises(ValueError):
         ReservoirKNN(capacity=0)
+    for bad in (0, -2, 2.5, 5.0, True, None):
+        with pytest.raises(ValueError, match="capacity"):
+            ReservoirKNN(capacity=bad)
+        with pytest.raises(ValueError, match="n_neighbors"):
+            ReservoirKNN(n_neighbors=bad)
+        with pytest.raises(ValueError, match="n_neighbors"):
+            make_online_classifier("knn", n_neighbors=bad)
+    model = ReservoirKNN(capacity=8, n_neighbors=2, seed=0)
+    model.partial_fit(rng.normal(size=(10, 3)), np.arange(10) % 2)
+    state = model.export_predict_state()
+    state["n_neighbors"] = 2.5
+    with pytest.raises(ValueError, match="n_neighbors"):
+        predict_from_state(state, rng.normal(size=(4, 3)))
     with pytest.raises(ValueError):
         OnlineLinearSVM(lam=0.0)
     with pytest.raises(ValueError):

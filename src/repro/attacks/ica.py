@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .base import Attack, AttackContext
 
@@ -109,6 +108,10 @@ class ICAAttack(Attack):
         self.tol = tol
 
     def reconstruct(self, context: AttackContext) -> np.ndarray:
+        # Imported on use: scipy serves only this attack, and importing it
+        # costs more than the rest of the package's imports together.
+        from scipy.optimize import linear_sum_assignment
+
         components, _ = fast_ica(
             context.perturbed,
             rng=context.rng,

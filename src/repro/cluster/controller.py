@@ -47,6 +47,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -73,6 +74,7 @@ from .transport import (
     InProcessReplica,
     ProcessReplica,
     ReplicaTransport,
+    _InterruptShield,
 )
 
 __all__ = [
@@ -461,8 +463,8 @@ class ClusterController:
         ``"inprocess"`` (default) runs every replica's engine in this
         process; ``"process"`` runs each in its own OS process behind
         the framed replica protocol, with heartbeat health checks and
-        crash recovery.  The two are interchangeable: same API, same
-        bit-identical results.
+        crash recovery; those children boot side by side.  The two are
+        interchangeable: same API, same bit-identical results.
     heartbeat_interval:
         Seconds between process-replica liveness checks (ignored for the
         in-process backend).
@@ -547,46 +549,36 @@ class ClusterController:
                 return None
             return os.path.join(checkpoint_dir, f"replica-{index}")
 
-        built: List[ReplicaTransport] = []
-        try:
-            for index in range(replicas):
-                if backend == "process":
-                    built.append(
-                        ProcessReplica(
-                            index,
-                            dict(
-                                max_inflight=max_inflight,
-                                queue_limit=queue_limit,
-                                shard_backend=shard_backend,
-                                shard_workers=shard_workers,
-                                checkpoint_dir=_replica_dir(index),
-                                checkpoint_retain=checkpoint_retain,
-                            ),
-                            heartbeat_interval=heartbeat_interval,
-                            on_death=self._replica_died,
-                        )
-                    )
-                else:
-                    built.append(
-                        InProcessReplica(
-                            index,
-                            MiningService(
-                                max_inflight=max_inflight,
-                                queue_limit=queue_limit,
-                                shard_backend=shard_backend,
-                                shard_workers=shard_workers,
-                                checkpoint_dir=_replica_dir(index),
-                                checkpoint_retain=checkpoint_retain,
-                            ),
-                        )
-                    )
-        except BaseException:
-            for replica in built:
-                try:
-                    replica.close(wait=False)
-                except Exception:
-                    pass
-            raise
+        def _boot(index: int) -> ReplicaTransport:
+            service = dict(
+                max_inflight=max_inflight,
+                queue_limit=queue_limit,
+                shard_backend=shard_backend,
+                shard_workers=shard_workers,
+                checkpoint_dir=_replica_dir(index),
+                checkpoint_retain=checkpoint_retain,
+            )
+            if backend == "process":
+                return ProcessReplica(
+                    index,
+                    service,
+                    heartbeat_interval=heartbeat_interval,
+                    on_death=self._replica_died,
+                )
+            return InProcessReplica(index, MiningService(**service))
+
+        if backend == "process":
+            built = _boot_concurrently(replicas, _boot)
+        else:
+            # In-process pools pre-fork from the constructing thread (see
+            # MiningService), so these replicas boot here, in turn.
+            built = []
+            try:
+                for index in range(replicas):
+                    built.append(_boot(index))
+            except BaseException:
+                _close_quietly(built)
+                raise
         self.replicas: Tuple[ReplicaTransport, ...] = tuple(built)
         if telemetry is not None:
             telemetry.metrics.register_collector(cluster_collector(self))
@@ -1138,14 +1130,16 @@ class ClusterController:
         with self._lock:
             if self._closed:
                 return
-            eligible = self._eligible()
             owned = [
                 session
                 for session in self._sessions.values()
                 if session._replica == index
             ]
-        if not owned:
-            return
+            if not owned:
+                # Every death during boot ends here: no session exists
+                # before the constructor returns, nor does self.replicas.
+                return
+            eligible = self._eligible()
         span = self._span("recover", replica=index, sessions=len(owned))
         outcomes = {"recovered": 0, "parked": 0, "lost": 0}
         try:
@@ -1375,6 +1369,68 @@ class ClusterController:
     def __exit__(self, *exc_info: object) -> None:
         """Context-manager exit: close every replica."""
         self.close()
+
+
+def _close_quietly(replicas: Sequence[Optional[ReplicaTransport]]) -> None:
+    """Close every replica that came up (reaping process children)."""
+    for replica in replicas:
+        if replica is not None:
+            try:
+                replica.close(wait=False)
+            except Exception:
+                pass
+
+
+def _boot_concurrently(
+    count: int, boot: Callable[[int], ReplicaTransport]
+) -> List[ReplicaTransport]:
+    """``[boot(0), ..., boot(count - 1)]``, each run on its own thread.
+
+    A process replica spends its boot importing the package and building
+    its service in its own child, so side by side N boots take about as
+    long as one.  When a boot fails, or the caller is interrupted while
+    waiting, every other boot is still waited out (each is bounded by the
+    replica's ``init`` deadline), every replica that came up is closed,
+    and the interrupt, else the first failure by index, is raised.
+    """
+    booted: List[Optional[ReplicaTransport]] = [None] * count
+    failures: List[Optional[BaseException]] = [None] * count
+
+    def run(index: int) -> None:
+        try:
+            booted[index] = boot(index)
+        except BaseException as exc:
+            failures[index] = exc
+
+    threads = [
+        threading.Thread(
+            target=run,
+            args=(index,),
+            name=f"repro-replica-{index}-boot",
+            daemon=True,
+        )
+        for index in range(count)
+    ]
+    try:
+        # A Ctrl-C while starting lands once every boot has started.
+        with _InterruptShield():
+            for thread in threads:
+                thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        try:
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+        finally:
+            _close_quietly(booted)
+        raise
+    for failure in failures:
+        if failure is not None:
+            _close_quietly(booted)
+            raise failure
+    return booted
 
 
 def _deadline(timeout: Optional[float]) -> Optional[float]:

@@ -73,6 +73,13 @@ __all__ = [
 #: handle statuses after which wait() need not keep blocking
 _SETTLED = ("completed", "failed", "cancelled", "evicted")
 
+#: seconds a spawned replica has to answer ``init`` (import the package,
+#: build its service) before it is killed and its boot fails
+INIT_TIMEOUT_S = 60.0
+
+#: seconds to wait for a killed child's exit status
+_REAP_TIMEOUT_S = 5.0
+
 
 def result_from_wire(value: Any) -> SessionResult:
     """The session result a ``result`` frame carries, checked for type."""
@@ -466,8 +473,22 @@ def _offline_stats() -> ServiceStats:
     )
 
 
+def _kill(process: subprocess.Popen) -> None:
+    """SIGKILL a child and reap it, waiting a bounded time (a child stuck
+    in the kernel is left to ``subprocess``'s own later reaping)."""
+    process.kill()
+    try:
+        process.wait(timeout=_REAP_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        pass
+
+
 class ProcessReplica(ReplicaTransport):
     """A replica in a separate OS process behind the framed protocol.
+
+    Construction spawns the child and waits for its answer to ``init``,
+    at most :data:`INIT_TIMEOUT_S` seconds; a child that dies or stays
+    silent is killed and reaped, and :class:`TransportError` is raised.
 
     Parameters
     ----------
@@ -539,13 +560,14 @@ class ProcessReplica(ReplicaTransport):
         child_sock.close()
         self._sock = parent_sock
         self._stream = _CountingSocket(parent_sock, self)
+        parent_sock.settimeout(INIT_TIMEOUT_S)
         try:
             value = self._rpc("init", service=dict(service_kwargs))
         except BaseException:
-            self._process.kill()
-            self._process.wait()
+            _kill(self._process)
             parent_sock.close()
             raise
+        parent_sock.settimeout(None)
         self.pid = value["pid"]
         self._heartbeat = threading.Thread(
             target=self._heartbeat_loop,
@@ -782,8 +804,7 @@ class ProcessReplica(ReplicaTransport):
             try:
                 self._process.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
-                self._process.kill()
-                self._process.wait()
+                _kill(self._process)
         self._dead = True
         self._sock.close()
         if self._heartbeat.is_alive():

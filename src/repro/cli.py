@@ -86,10 +86,11 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import CancelledError
 from dataclasses import replace as dataclasses_replace
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,6 +145,99 @@ def _add_logging_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument(
         "-q", "--quiet", action="store_true", help="only log errors"
     )
+
+
+def _add_workload_flags(
+    p: argparse.ArgumentParser, demo: str, sessions: int, max_inflight: int, owner: str
+) -> None:
+    """The workload, admission and pool flags ``serve`` and ``cluster``
+    share; ``demo`` names the built-in workload and ``owner`` whose
+    drivers, queue and pool the flags size."""
+    p.add_argument(
+        "--workload",
+        metavar="FILE",
+        default=None,
+        help="JSON workload file (a list of session specs, or "
+        f'{{"sessions": [...]}}); omitted: a built-in {demo} demo workload',
+    )
+    p.add_argument(
+        "--sessions",
+        type=int,
+        default=sessions,
+        help="demo-workload size (ignored with --workload)",
+    )
+    p.add_argument(
+        "--dataset", default="iris", help="demo-workload dataset"
+    )
+    p.add_argument(
+        "--max-inflight",
+        type=int,
+        default=max_inflight,
+        help=f"concurrent session drivers of {owner}",
+    )
+    p.add_argument(
+        "--queue-limit",
+        type=int,
+        default=None,
+        help=f"sessions allowed to queue in {owner} beyond the in-flight "
+        "ones (default: unbounded)",
+    )
+    p.add_argument(
+        "--shards",
+        type=int,
+        default=2,
+        help=f"workers in the shard pool of {owner}",
+    )
+    p.add_argument(
+        "--shard-backend",
+        default="thread",
+        choices=["serial", "thread", "process"],
+        help="shard pool executor (results are identical)",
+    )
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_checkpoint_flags(
+    p: argparse.ArgumentParser, directory_help: str, retain: bool = True
+) -> None:
+    """``--checkpoint-dir``, ``--checkpoint-every`` and, with ``retain``,
+    ``--checkpoint-retain``."""
+    p.add_argument(
+        "--checkpoint-dir", metavar="DIR", default=None, help=directory_help
+    )
+    p.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=None,
+        metavar="N",
+        help="checkpoint stream sessions every N completed windows "
+        "(needs --checkpoint-dir)",
+    )
+    if retain:
+        p.add_argument(
+            "--checkpoint-retain",
+            type=int,
+            default=None,
+            metavar="K",
+            help="keep only the newest K checkpoints of each session, "
+            "deleting older ones after each save (needs --checkpoint-dir; "
+            "default: keep everything)",
+        )
+
+
+def _add_output_flags(p: argparse.ArgumentParser, subject: str) -> None:
+    """``--json``, ``--metrics-out`` for ``subject``'s registry, and the
+    logging pair."""
+    p.add_argument(
+        "--json", action="store_true", help="emit a machine-readable JSON report"
+    )
+    p.add_argument(
+        "--metrics-out",
+        metavar="FILE",
+        default=None,
+        help=f"write the {subject}'s metrics-registry snapshot as JSON",
+    )
+    _add_logging_flags(p)
 
 
 def _configure_logging(args: argparse.Namespace) -> None:
@@ -326,28 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="what happens to records arriving after their window sealed",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="save durable session checkpoints into DIR (enables "
+    _add_checkpoint_flags(
+        p,
+        "save durable session checkpoints into DIR (enables "
         "--checkpoint-every / --stop-after)",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint every N completed windows (needs --checkpoint-dir)",
-    )
-    p.add_argument(
-        "--checkpoint-retain",
-        type=int,
-        default=None,
-        metavar="K",
-        help="keep only the newest K checkpoints of this session, deleting "
-        "older ones after each save (needs --checkpoint-dir; default: "
-        "keep everything)",
     )
     p.add_argument(
         "--stop-after",
@@ -366,22 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical to never having stopped",
     )
     p.add_argument(
-        "--json", action="store_true", help="emit a machine-readable JSON result"
-    )
-    p.add_argument(
         "--trace-out",
         metavar="FILE",
         default=None,
         help="write telemetry spans (round/stage/seal/...) as JSONL; "
         "aggregate later with `repro report`",
     )
-    p.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write the session's metrics-registry snapshot as JSON",
-    )
-    _add_logging_flags(p)
+    _add_output_flags(p, "session")
 
     p = sub.add_parser(
         "checkpoint", help="inspect durable session checkpoint files"
@@ -412,91 +479,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run a multi-session workload on the serving engine"
     )
-    p.add_argument(
-        "--workload",
-        metavar="FILE",
-        default=None,
-        help="JSON workload file (a list of session specs, or "
-        '{"sessions": [...]}); omitted: a built-in mixed demo workload',
-    )
-    p.add_argument(
-        "--sessions",
-        type=int,
-        default=8,
-        help="demo-workload size (ignored with --workload)",
-    )
-    p.add_argument(
-        "--dataset", default="iris", help="demo-workload dataset"
-    )
-    p.add_argument(
-        "--max-inflight", type=int, default=4, help="concurrent session drivers"
-    )
-    p.add_argument(
-        "--queue-limit",
-        type=int,
-        default=None,
-        help="sessions allowed to queue beyond the in-flight ones "
-        "(default: unbounded)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="workers in the shared shard pool",
-    )
-    p.add_argument(
-        "--shard-backend",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="shared pool executor (results are identical)",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="give the service a checkpoint directory: stream sessions "
+    _add_workload_flags(p, "mixed", sessions=8, max_inflight=4, owner="the service")
+    _add_checkpoint_flags(
+        p,
+        "give the service a checkpoint directory: stream sessions "
         "become durable, and an interrupt (Ctrl-C) parks every live "
         "session instead of losing it",
+        retain=False,
     )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint stream sessions every N completed windows "
-        "(needs --checkpoint-dir)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--json", action="store_true", help="emit a machine-readable JSON report"
-    )
-    p.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write the service's metrics-registry snapshot as JSON",
-    )
-    _add_logging_flags(p)
+    _add_output_flags(p, "service")
 
     p = sub.add_parser(
         "cluster",
         help="run a workload across N engine replicas with live migration",
     )
-    p.add_argument(
-        "--workload",
-        metavar="FILE",
-        default=None,
-        help="JSON workload file (same format as `repro serve`); omitted: "
-        "a built-in all-stream demo workload",
-    )
-    p.add_argument(
-        "--sessions",
-        type=int,
-        default=6,
-        help="demo-workload size (ignored with --workload)",
-    )
-    p.add_argument(
-        "--dataset", default="iris", help="demo-workload dataset"
+    _add_workload_flags(
+        p, "all-stream", sessions=6, max_inflight=2, owner="each replica"
     )
     p.add_argument(
         "--replicas", type=int, default=2, help="serving-engine replicas"
@@ -560,64 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
         "rotating over live sessions (0 = never; results stay "
         "bit-identical either way)",
     )
-    p.add_argument(
-        "--max-inflight",
-        type=int,
-        default=2,
-        help="concurrent session drivers per replica",
-    )
-    p.add_argument(
-        "--queue-limit",
-        type=int,
-        default=None,
-        help="per-replica queue depth beyond the in-flight sessions "
-        "(default: unbounded)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="workers in each replica's shard pool",
-    )
-    p.add_argument(
-        "--shard-backend",
-        default="thread",
-        choices=["serial", "thread", "process"],
-        help="replica pool executor (results are identical)",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="cluster checkpoint root (replica-<i>/ per replica); "
+    _add_checkpoint_flags(
+        p,
+        "cluster checkpoint root (replica-<i>/ per replica); "
         "default: a temporary directory when migration is requested",
     )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="checkpoint stream sessions every N completed windows",
-    )
-    p.add_argument(
-        "--checkpoint-retain",
-        type=int,
-        default=None,
-        metavar="K",
-        help="keep only the newest K checkpoints per session "
-        "(default: keep everything)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--json", action="store_true", help="emit a machine-readable JSON report"
-    )
-    p.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write the cluster's metrics-registry snapshot as JSON",
-    )
-    _add_logging_flags(p)
+    _add_output_flags(p, "cluster")
 
     p = sub.add_parser(
         "report", help="aggregate --trace-out span files into latency tables"
@@ -921,6 +867,31 @@ def _require_non_negative(name: str, value: Optional[int]) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
+def _require_interval(name: str, value: float) -> None:
+    """Reject a wait interval no wait can take (NaN, infinities, values
+    <= 0 or beyond ``threading.TIMEOUT_MAX``) with the exit-2 message."""
+    if not 0 < value <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"{name} must be a positive, finite number of seconds, got {value}"
+        )
+
+
+def _require_checkpoint_dir(args: argparse.Namespace, durable: bool) -> None:
+    """Reject non-positive checkpoint flags, and any given while
+    checkpoints have no directory to go into (``durable`` is false)."""
+    given = []
+    for flag in ("--checkpoint-every", "--checkpoint-retain", "--stop-after"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        _require_positive(flag, value)
+        if value is not None:
+            given.append(flag)
+    if given and not durable:
+        raise ValueError(
+            f"{'/'.join(given)} need{'s' if len(given) == 1 else ''} "
+            f"--checkpoint-dir to say where checkpoints go"
+        )
+
+
 def _check_writable(flag: str, path: str) -> None:
     """Fail fast (exit 2) on an unwritable output path, before the run."""
     try:
@@ -973,19 +944,8 @@ def _stream_checkpointer(
     args: argparse.Namespace, telemetry: Optional[Telemetry]
 ) -> Optional[Checkpointer]:
     """Build the ``repro stream`` command's checkpoint policy, if asked."""
-    _require_positive("--checkpoint-every", args.checkpoint_every)
-    _require_positive("--checkpoint-retain", args.checkpoint_retain)
-    _require_positive("--stop-after", args.stop_after)
+    _require_checkpoint_dir(args, args.checkpoint_dir is not None)
     if args.checkpoint_dir is None:
-        if (
-            args.checkpoint_every is not None
-            or args.checkpoint_retain is not None
-            or args.stop_after is not None
-        ):
-            raise ValueError(
-                "--checkpoint-every/--checkpoint-retain/--stop-after need "
-                "--checkpoint-dir to say where checkpoints go"
-            )
         return None
     return Checkpointer(
         directory=args.checkpoint_dir,
@@ -1140,35 +1100,39 @@ def _cmd_stream(args: argparse.Namespace) -> str:
     )
 
 
+def _demo_stream(
+    dataset: str, index: int, seed: int, windows: int
+) -> Dict[str, object]:
+    """Entry ``index`` of a demo workload as a short two-tenant stream."""
+    return {
+        "kind": "stream",
+        "dataset": dataset,
+        "tenant": "acme" if index % 2 == 0 else "globex",
+        "k": 3,
+        "stream": "abrupt" if index % 4 == 1 else "stationary",
+        "windows": windows,
+        "window_size": 32,
+        "compute_privacy": False,
+        "seed": seed + index,
+    }
+
+
 def _demo_workload(n_sessions: int, dataset: str, seed: int) -> List[Dict[str, object]]:
     """A mixed batch+stream workload across two tenants (the serve demo)."""
     workload: List[Dict[str, object]] = []
     for index in range(n_sessions):
-        tenant = "acme" if index % 2 == 0 else "globex"
         if index % 2 == 0:
             workload.append(
                 {
                     "kind": "batch",
                     "dataset": dataset,
-                    "tenant": tenant,
+                    "tenant": "acme",
                     "k": 3,
                     "seed": seed + index,
                 }
             )
         else:
-            workload.append(
-                {
-                    "kind": "stream",
-                    "dataset": dataset,
-                    "tenant": tenant,
-                    "k": 3,
-                    "stream": "abrupt" if index % 4 == 1 else "stationary",
-                    "windows": 4,
-                    "window_size": 32,
-                    "compute_privacy": False,
-                    "seed": seed + index,
-                }
-            )
+            workload.append(_demo_stream(dataset, index, seed, windows=4))
     return workload
 
 
@@ -1191,24 +1155,26 @@ def _load_workload(path: str) -> List[Dict[str, object]]:
     return payload
 
 
-def _session_row(handle, result) -> List[object]:
-    """One per-session report row (shared by text and JSON output)."""
-    spec = handle.spec
-    if result is None:
-        outcome = "-"
-    elif spec.kind == "batch":
-        outcome = f"{result.deviation:+.2f} pts"
+def _workload_specs(
+    args: argparse.Namespace, demo: Callable[..., List], durable: bool
+) -> List[SessionSpec]:
+    """Validate the flags ``serve`` and ``cluster`` share, then parse the
+    workload (``--workload``, else the command's ``demo``) into specs.
+
+    Runs before any service or replica is built, so a bad flag or entry
+    exits 2 with nothing started; ``durable`` says whether checkpoints
+    have a directory to go into.
+    """
+    _require_positive("--sessions", args.sessions)
+    _require_positive("--max-inflight", args.max_inflight)
+    _require_positive("--shards", args.shards)
+    _require_non_negative("--queue-limit", args.queue_limit)
+    _require_checkpoint_dir(args, durable)
+    if args.workload:
+        entries = _load_workload(args.workload)
     else:
-        outcome = f"{result.deviation:+.2f} pts / {result.records_processed} rec"
-    return [
-        handle.session_id,
-        spec.tenant,
-        spec.kind,
-        spec.dataset_name,
-        handle.poll(),
-        outcome,
-        f"{handle.wall_seconds * 1000:.0f} ms",
-    ]
+        entries = demo(args.sessions, args.dataset, args.seed)
+    return [SessionSpec.from_mapping(entry) for entry in entries]
 
 
 def _park_and_hint(closeable) -> None:
@@ -1223,119 +1189,148 @@ def _park_and_hint(closeable) -> None:
             )
 
 
-def _cmd_serve(args: argparse.Namespace) -> str:
-    _require_positive("--sessions", args.sessions)
-    _require_positive("--max-inflight", args.max_inflight)
-    _require_positive("--shards", args.shards)
-    _require_positive("--checkpoint-every", args.checkpoint_every)
-    if args.queue_limit is not None and args.queue_limit < 0:
-        raise ValueError(
-            f"--queue-limit must be >= 0, got {args.queue_limit}"
-        )
-    if args.checkpoint_every is not None and args.checkpoint_dir is None:
-        raise ValueError(
-            "--checkpoint-every needs --checkpoint-dir to say where "
-            "checkpoints go"
-        )
-    if args.workload:
-        entries = _load_workload(args.workload)
-    else:
-        entries = _demo_workload(args.sessions, args.dataset, args.seed)
-    specs = [SessionSpec.from_mapping(entry) for entry in entries]
-    telemetry = _telemetry_from_flags(None, args.metrics_out)
+class _Run(NamedTuple):
+    """One workload run, as :func:`_run_workload` hands it to the report."""
 
+    sessions: List[Any]
+    outcomes: List[Tuple[Any, Optional[str]]]
+    rejections: List[str]
+    stats: Any
+
+
+def _run_workload(
+    args: argparse.Namespace,
+    host: Any,
+    specs: Sequence[SessionSpec],
+    drive: Callable[[List[Any], List[str]], None],
+) -> _Run:
+    """Serve ``specs`` on ``host`` (a ``MiningService`` or a
+    ``ClusterController``), then close it.
+
+    Submits every spec, collecting admission refusals, and runs the
+    command's ``drive(sessions, rejections)`` step until the workload
+    settled.  On Ctrl-C, live sessions are parked (with resume hints) when
+    ``--checkpoint-dir`` was given; otherwise the host closes without
+    waiting, which cancels the sessions still queued.
+    """
+    sessions: List[Any] = []
     rejections: List[str] = []
-    with MiningService(
+    with host:
+        try:
+            for spec in specs:
+                every = args.checkpoint_every if spec.kind == "stream" else None
+                try:
+                    sessions.append(host.submit(spec, checkpoint_every=every))
+                except AdmissionError as exc:
+                    rejections.append(f"{spec.display_label}: {exc}")
+            drive(sessions, rejections)
+        except KeyboardInterrupt:
+            if args.checkpoint_dir is not None:
+                _park_and_hint(host)
+            else:
+                # Nothing durable to park into: stop without waiting the
+                # workload out.  close() always reaps process replicas
+                # (shutdown, then terminate/kill), so a Ctrl-C never
+                # leaves orphaned children behind.
+                host.close(wait=False)
+            raise
+        outcomes = [_outcome(session) for session in sessions]
+        stats = host.stats()
+        # Snapshot while the host is alive: the registry's collectors
+        # read the live service or cluster state at snapshot time.
+        _finish_telemetry(host.telemetry, args.metrics_out)
+    return _Run(sessions, outcomes, rejections, stats)
+
+
+def _outcome(session: Any) -> Tuple[Any, Optional[str]]:
+    """A settled session's ``(result, None)``, else ``(None, error)``."""
+    try:
+        return session.result(timeout=0), None
+    except (Exception, CancelledError) as exc:  # surfaced in the report
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _report(
+    args: argparse.Namespace,
+    run: _Run,
+    title: str,
+    columns: Sequence[Tuple[str, Optional[str]]],
+    top: Dict[str, object],
+    notes: Sequence[str] = (),
+) -> Tuple[str, int]:
+    """A workload run's output and exit code.
+
+    Each session gets one JSON row and one table row.  ``columns`` are
+    the command's own ``(attribute, table header)`` pairs: every one is
+    a JSON field, and those with a header are table columns too.  ``top``
+    holds the command's top-level JSON keys, ``notes`` its text lines
+    after the stats.
+    """
+    table = [(field, header) for field, header in columns if header]
+    rows = [
+        {
+            "id": session.session_id,
+            "label": session.spec.display_label,
+            "status": session.poll(),
+            **{field: getattr(session, field) for field, _ in columns},
+            "error": error,
+            "result": None if result is None else result.to_dict(),
+        }
+        for session, (result, error) in zip(run.sessions, run.outcomes)
+    ]
+    failures = [f"{r['label']}: {r['error']}" for r in rows if r["error"] is not None]
+    # Failed or admission-rejected sessions make the command exit 1 (vs 2
+    # for usage errors): the workload did not fully run, and scripted
+    # callers must not mistake that for success.
+    exit_code = 1 if failures or run.rejections else 0
+    if args.json:
+        payload = {"sessions": rows, "rejections": run.rejections, **top}
+        return json.dumps(payload, indent=2), exit_code
+
+    headers = ["id", "tenant", "kind", "dataset", *(h for _, h in table)]
+    headers += ["status", "outcome", "wall"]
+    cells = []
+    for session, (result, _), row in zip(run.sessions, run.outcomes, rows):
+        spec = session.spec
+        if result is None:
+            outcome = "-"
+        elif spec.kind == "batch":
+            outcome = f"{result.deviation:+.2f} pts"
+        else:
+            outcome = f"{result.deviation:+.2f} pts / {result.records_processed} rec"
+        cells.append(
+            [row["id"], spec.tenant, spec.kind, spec.dataset_name]
+            + [row[field] for field, _ in table]
+            + [row["status"], outcome, f"{session.wall_seconds * 1000:.0f} ms"]
+        )
+    body = [ascii_table(headers, cells), run.stats.summary(), *notes]
+    for heading, lines in (("failed", failures), ("rejected", run.rejections)):
+        if lines:
+            body.append(heading + "\n" + "\n".join(f"  {line}" for line in lines))
+    return series_block(title, "\n\n".join(body)), exit_code
+
+
+def _cmd_serve(args: argparse.Namespace) -> Tuple[str, int]:
+    specs = _workload_specs(args, _demo_workload, args.checkpoint_dir is not None)
+    service = MiningService(
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
         shard_backend=args.shard_backend,
         shard_workers=args.shards,
-        telemetry=telemetry,
+        telemetry=_telemetry_from_flags(None, args.metrics_out),
         checkpoint_dir=args.checkpoint_dir,
-    ) as service:
-        handles = []
-        for spec in specs:
-            every = (
-                args.checkpoint_every
-                if args.checkpoint_dir is not None and spec.kind == "stream"
-                else None
-            )
-            try:
-                handles.append(service.submit(spec, checkpoint_every=every))
-            except AdmissionError as exc:
-                rejections.append(f"{spec.display_label}: {exc}")
-        try:
-            service.drain()
-        except KeyboardInterrupt:
-            if args.checkpoint_dir is not None:
-                _park_and_hint(service)
-            raise
-        results, errors = [], []
-        for handle in handles:
-            if handle.poll() == "completed":
-                results.append(handle.result())
-                errors.append(None)
-            else:
-                results.append(None)
-                try:
-                    handle.result(timeout=0)
-                except (Exception, CancelledError) as exc:  # surfaced below
-                    errors.append(f"{type(exc).__name__}: {exc}")
-                else:  # pragma: no cover - completed raced the poll above
-                    errors.append(None)
-        stats = service.stats()
-        # Snapshot while the service is alive: the registry's collectors
-        # read the service and pool stats at snapshot time.
-        _finish_telemetry(telemetry, args.metrics_out)
-    failures = [
-        f"{h.spec.display_label}: {message}"
-        for h, message in zip(handles, errors)
-        if message is not None
-    ]
-    # Failed or admission-rejected sessions make the command exit 1 (vs 2
-    # for usage errors): the workload did not fully run, and scripted
-    # callers must not mistake that for success.
-    exit_code = 1 if failures or rejections else 0
-
-    if args.json:
-        return (
-            json.dumps(
-                {
-                    "sessions": [
-                        {
-                            "id": h.session_id,
-                            "label": h.spec.display_label,
-                            "status": h.poll(),
-                            "queue_seconds": h.queue_seconds,
-                            "wall_seconds": h.wall_seconds,
-                            "error": e,
-                            "result": None if r is None else r.to_dict(),
-                        }
-                        for h, r, e in zip(handles, results, errors)
-                    ],
-                    "rejections": rejections,
-                    "service": stats.to_dict(),
-                },
-                indent=2,
-            ),
-            exit_code,
-        )
-
-    headers = ["id", "tenant", "kind", "dataset", "status", "outcome", "wall"]
-    rows = [_session_row(h, r) for h, r in zip(handles, results)]
-    body = [ascii_table(headers, rows), stats.summary()]
-    if failures:
-        body.append("failed\n" + "\n".join(f"  {line}" for line in failures))
-    if rejections:
-        body.append("rejected\n" + "\n".join(f"  {line}" for line in rejections))
-    return (
-        series_block(
-            f"Serving engine - {len(handles)} sessions "
-            f"({args.shard_backend} pool, {args.shards} workers, "
-            f"max_inflight={args.max_inflight})",
-            "\n\n".join(body),
-        ),
-        exit_code,
+    )
+    run = _run_workload(
+        args, service, specs, lambda sessions, rejections: service.drain()
+    )
+    return _report(
+        args,
+        run,
+        f"Serving engine - {len(run.sessions)} sessions "
+        f"({args.shard_backend} pool, {args.shards} workers, "
+        f"max_inflight={args.max_inflight})",
+        columns=(("queue_seconds", None), ("wall_seconds", None)),
+        top={"service": run.stats.to_dict()},
     )
 
 
@@ -1344,18 +1339,7 @@ def _cluster_demo_workload(
 ) -> List[Dict[str, object]]:
     """An all-stream two-tenant workload (streams are what can migrate)."""
     return [
-        {
-            "kind": "stream",
-            "dataset": dataset,
-            "tenant": "acme" if index % 2 == 0 else "globex",
-            "k": 3,
-            "stream": "abrupt" if index % 4 == 1 else "stationary",
-            "windows": 6,
-            "window_size": 32,
-            "compute_privacy": False,
-            "seed": seed + index,
-        }
-        for index in range(n_sessions)
+        _demo_stream(dataset, index, seed, windows=6) for index in range(n_sessions)
     ]
 
 
@@ -1381,21 +1365,16 @@ def _chaos_kill(cluster, sessions, ticks: int) -> Optional[int]:
 
 
 def _serve_loop(
-    cluster,
-    workload_path: str,
-    poll_interval: float,
-    idle_exit: int,
-    sessions: List,
-    rejections: List[str],
+    args: argparse.Namespace, cluster, sessions: List, rejections: List[str]
 ) -> None:
     """``--serve``: re-read the workload file each tick and admit every
-    newly appended entry; returns once ``idle_exit`` consecutive ticks
-    saw no new work and nothing live (never, when ``idle_exit`` is 0)."""
+    newly appended entry; returns once ``--serve-idle-exit`` consecutive
+    ticks saw no new work and nothing live (never, when it is 0)."""
     consumed = 0
     idle = 0
     while True:
         try:
-            entries = _load_workload(workload_path)
+            entries = _load_workload(args.workload)
         except ValueError:
             entries = []  # mid-write or momentarily empty; next tick retries
         fresh = entries[consumed:]
@@ -1410,14 +1389,14 @@ def _serve_loop(
                     rejections.append(f"workload[{consumed - 1}]: {exc}")
         elif all(session.done() for session in sessions):
             idle += 1
-            if idle_exit and idle >= idle_exit:
+            if args.serve_idle_exit and idle >= args.serve_idle_exit:
                 return
         else:
             idle = 0
-        time.sleep(poll_interval)
+        time.sleep(args.poll_interval)
 
 
-def _forced_migrations(cluster, sessions, every: int, replicas: int):
+def _forced_migrations(cluster, sessions, every: int):
     """Poll the workload, forcing a migration every ``every`` 50 ms ticks.
 
     Rotates over the still-live sessions and pushes each victim to the
@@ -1437,7 +1416,7 @@ def _forced_migrations(cluster, sessions, every: int, replicas: int):
             continue
         victim = live[rotate % len(live)]
         rotate += 1
-        destination = (victim.replica + 1) % replicas
+        destination = (victim.replica + 1) % len(cluster.replicas)
         try:
             landed = cluster.migrate(victim.session_id, destination)
         except ClusterError:
@@ -1447,29 +1426,13 @@ def _forced_migrations(cluster, sessions, every: int, replicas: int):
     return hops
 
 
-def _cmd_cluster(args: argparse.Namespace) -> str:
-    _require_positive("--sessions", args.sessions)
+def _cmd_cluster(args: argparse.Namespace) -> Tuple[str, int]:
     _require_positive("--replicas", args.replicas)
-    _require_positive("--max-inflight", args.max_inflight)
-    _require_positive("--shards", args.shards)
-    _require_positive("--checkpoint-every", args.checkpoint_every)
-    _require_positive("--checkpoint-retain", args.checkpoint_retain)
     _require_non_negative("--migrate-every", args.migrate_every)
     _require_non_negative("--chaos-kill", args.chaos_kill)
     _require_non_negative("--serve-idle-exit", args.serve_idle_exit)
-    if args.poll_interval <= 0:
-        raise ValueError(
-            f"--poll-interval must be > 0 seconds, got {args.poll_interval}"
-        )
-    if args.heartbeat_interval <= 0:
-        raise ValueError(
-            f"--heartbeat-interval must be > 0 seconds, got "
-            f"{args.heartbeat_interval}"
-        )
-    if args.queue_limit is not None and args.queue_limit < 0:
-        raise ValueError(
-            f"--queue-limit must be >= 0, got {args.queue_limit}"
-        )
+    _require_interval("--poll-interval", args.poll_interval)
+    _require_interval("--heartbeat-interval", args.heartbeat_interval)
     if args.chaos_kill and args.backend != "process":
         raise ValueError(
             "--chaos-kill needs --backend process: only a process replica "
@@ -1480,25 +1443,30 @@ def _cmd_cluster(args: argparse.Namespace) -> str:
             "--serve needs --workload: the long-running mode admits "
             "sessions appended to that file"
         )
-    if args.workload:
-        entries = _load_workload(args.workload)
-    else:
-        entries = _cluster_demo_workload(args.sessions, args.dataset, args.seed)
-    specs = [SessionSpec.from_mapping(entry) for entry in entries]
-    telemetry = _telemetry_from_flags(None, args.metrics_out)
-
+    durable = args.checkpoint_dir is not None
+    # Migration (and crash recovery) moves state through checkpoint
+    # files; without an explicit directory the demo parks them in a
+    # throwaway one.
+    scratch = not durable and bool(args.migrate_every or args.chaos_kill)
+    specs = _workload_specs(args, _cluster_demo_workload, durable or scratch)
     checkpoint_dir = args.checkpoint_dir
-    scratch = None
-    if checkpoint_dir is None and (args.migrate_every or args.chaos_kill):
-        # Migration (and crash recovery) moves state through checkpoint
-        # files; without an explicit directory the demo parks them in a
-        # throwaway one.
-        checkpoint_dir = scratch = tempfile.mkdtemp(prefix="repro-cluster-")
+    if scratch:
+        checkpoint_dir = tempfile.mkdtemp(prefix="repro-cluster-")
+    extra: Dict[str, object] = {"migrations": [], "chaos_killed": None}
 
-    rejections: List[str] = []
-    killed: Optional[int] = None
+    def drive(sessions: List[Any], rejections: List[str]) -> None:
+        if args.chaos_kill:
+            extra["chaos_killed"] = _chaos_kill(cluster, sessions, args.chaos_kill)
+        if args.serve:
+            _serve_loop(args, cluster, sessions, rejections)
+        elif args.migrate_every:
+            extra["migrations"] = _forced_migrations(
+                cluster, sessions, args.migrate_every
+            )
+        cluster.wait_all()
+
     try:
-        with ClusterController(
+        cluster = ClusterController(
             replicas=args.replicas,
             placement=args.placement,
             backend=args.backend,
@@ -1507,142 +1475,31 @@ def _cmd_cluster(args: argparse.Namespace) -> str:
             queue_limit=args.queue_limit,
             shard_backend=args.shard_backend,
             shard_workers=args.shards,
-            telemetry=telemetry,
+            telemetry=_telemetry_from_flags(None, args.metrics_out),
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             checkpoint_retain=args.checkpoint_retain,
-        ) as cluster:
-            sessions = []
-            hops: List[List[int]] = []
-            try:
-                if not args.serve:
-                    for spec in specs:
-                        try:
-                            sessions.append(cluster.submit(spec))
-                        except AdmissionError as exc:
-                            rejections.append(f"{spec.display_label}: {exc}")
-                if args.chaos_kill:
-                    killed = _chaos_kill(cluster, sessions, args.chaos_kill)
-                if args.serve:
-                    _serve_loop(
-                        cluster, args.workload, args.poll_interval,
-                        args.serve_idle_exit, sessions, rejections,
-                    )
-                elif args.migrate_every:
-                    hops = _forced_migrations(
-                        cluster, sessions, args.migrate_every, args.replicas
-                    )
-                cluster.wait_all()
-            except KeyboardInterrupt:
-                if args.checkpoint_dir is not None:
-                    _park_and_hint(cluster)
-                else:
-                    # Nothing durable to park into: stop without waiting
-                    # the workload out.  close() always reaps process
-                    # replicas (shutdown, then terminate/kill), so a
-                    # Ctrl-C never leaves orphaned children behind.
-                    cluster.close(wait=False)
-                raise
-            results, errors = [], []
-            for session in sessions:
-                if session.poll() == "completed":
-                    results.append(session.result())
-                    errors.append(None)
-                else:
-                    results.append(None)
-                    try:
-                        session.result(timeout=0)
-                    except (Exception, CancelledError) as exc:
-                        errors.append(f"{type(exc).__name__}: {exc}")
-                    else:  # pragma: no cover - completed raced the poll
-                        errors.append(None)
-            stats = cluster.stats()
-            # Snapshot while replicas are alive: the cluster collector
-            # reads live controller state at snapshot time.
-            _finish_telemetry(telemetry, args.metrics_out)
+        )
+        # --serve admits the workload file's entries itself, from the first.
+        run = _run_workload(args, cluster, [] if args.serve else specs, drive)
     finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
-
-    failures = [
-        f"{s.spec.display_label}: {message}"
-        for s, message in zip(sessions, errors)
-        if message is not None
-    ]
-    exit_code = 1 if failures or rejections else 0
-
-    if args.json:
-        return (
-            json.dumps(
-                {
-                    "sessions": [
-                        {
-                            "id": s.session_id,
-                            "label": s.spec.display_label,
-                            "status": s.poll(),
-                            "replica": s.replica,
-                            "migrations": s.migrations,
-                            "error": e,
-                            "result": None if r is None else r.to_dict(),
-                        }
-                        for s, r, e in zip(sessions, results, errors)
-                    ],
-                    "rejections": rejections,
-                    "migrations": hops,
-                    "chaos_killed": killed,
-                    "cluster": stats.to_dict(),
-                },
-                indent=2,
-            ),
-            exit_code,
+        if scratch:
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)
+    notes = []
+    if extra["chaos_killed"] is not None:
+        notes.append(
+            f"chaos: replica {extra['chaos_killed']} was SIGKILLed mid-run; "
+            f"its sessions recovered on the surviving replicas"
         )
-
-    headers = [
-        "id", "tenant", "kind", "dataset", "replica", "hops", "status",
-        "outcome", "wall",
-    ]
-    rows = []
-    for session, result in zip(sessions, results):
-        spec = session.spec
-        if result is None:
-            outcome = "-"
-        elif spec.kind == "batch":
-            outcome = f"{result.deviation:+.2f} pts"
-        else:
-            outcome = (
-                f"{result.deviation:+.2f} pts / {result.records_processed} rec"
-            )
-        rows.append(
-            [
-                session.session_id,
-                spec.tenant,
-                spec.kind,
-                spec.dataset_name,
-                session.replica,
-                session.migrations,
-                session.poll(),
-                outcome,
-                f"{session.wall_seconds * 1000:.0f} ms",
-            ]
-        )
-    body = [ascii_table(headers, rows), stats.summary()]
-    if killed is not None:
-        body.append(
-            f"chaos: replica {killed} was SIGKILLed mid-run; its sessions "
-            f"recovered on the surviving replicas"
-        )
-    if failures:
-        body.append("failed\n" + "\n".join(f"  {line}" for line in failures))
-    if rejections:
-        body.append("rejected\n" + "\n".join(f"  {line}" for line in rejections))
-    return (
-        series_block(
-            f"Cluster - {len(sessions)} sessions over {args.replicas} "
-            f"{args.backend} replicas ({args.placement} placement, "
-            f"{args.shard_backend} pools x {args.shards} workers)",
-            "\n\n".join(body),
-        ),
-        exit_code,
+    return _report(
+        args,
+        run,
+        f"Cluster - {len(run.sessions)} sessions over {args.replicas} "
+        f"{args.backend} replicas ({args.placement} placement, "
+        f"{args.shard_backend} pools x {args.shards} workers)",
+        columns=(("replica", "replica"), ("migrations", "hops")),
+        top={**extra, "cluster": run.stats.to_dict()},
+        notes=notes,
     )
 
 

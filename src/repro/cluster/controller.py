@@ -467,7 +467,7 @@ class ClusterController:
         interchangeable: same API, same bit-identical results.
     heartbeat_interval:
         Seconds between process-replica liveness checks (ignored for the
-        in-process backend).
+        in-process backend, but validated for both).
     tenants:
         Optional ``{tenant: TenantPolicy}`` budgets, enforced *here* —
         once per session, regardless of how many replicas it visits.
@@ -513,6 +513,13 @@ class ClusterController:
             raise ClusterError(
                 f"unknown cluster backend {backend!r}; choose from "
                 f"{', '.join(CLUSTER_BACKENDS)}"
+            )
+        # NaN and infinity fail the comparison too; a longer wait than
+        # TIMEOUT_MAX overflows the heartbeat's Event.wait.
+        if not 0 < heartbeat_interval <= threading.TIMEOUT_MAX:
+            raise ClusterError(
+                f"heartbeat_interval must be a positive, finite number of "
+                f"seconds, got {heartbeat_interval!r}"
             )
         try:
             self.placement, self._place = resolve_placement(placement)

@@ -111,7 +111,7 @@ class ReplicaServer:
             "status": handle.poll(),
             "wall_seconds": handle.wall_seconds,
             "queue_seconds": handle.queue_seconds,
-            "migratable": handle._checkpointer is not None,
+            "migratable": handle.migratable,
         }
 
     def _op_wait(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -132,9 +132,9 @@ class ReplicaServer:
 
     def _op_request_evict(self, request: Dict[str, Any]) -> Dict[str, Any]:
         handle = self._handle(request["session_id"])
-        if handle._checkpointer is None:
+        if not handle.migratable:
             return {"evictable": False}
-        handle._checkpointer.request_evict()
+        handle.request_evict()
         return {"evictable": True}
 
     def _op_collect_evicted(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -147,7 +147,7 @@ class ReplicaServer:
         status = handle.wait(timeout=request.get("timeout"))
         if status != "evicted":
             return {"status": status, "path": None, "data": None}
-        path = handle._future.exception().path
+        path = handle.evicted_path()
         with open(path, "rb") as stream:
             data = stream.read()
         return {"status": status, "path": path, "data": data}

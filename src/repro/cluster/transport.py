@@ -23,11 +23,11 @@ with checkpoints crossing as **opaque RPCK bytes**
   idle) and reports death exactly once via ``on_death`` — the
   controller's crash-recovery hook.
 
-Both backends expose the same handle type surface
-(:class:`InProcessHandle` / :class:`RemoteHandle`): ``poll`` statuses are
-the engine's, plus ``"lost"`` from a remote handle whose replica died —
-the control plane turns ``lost`` into recovery, callers never see it for
-longer than a handoff.
+Both backends hand out handles with one surface (the engine's own
+:class:`~repro.serve.engine.SessionHandle` / :class:`RemoteHandle`):
+``poll`` statuses are the engine's, plus ``"lost"`` from a remote handle
+whose replica died — the control plane turns ``lost`` into recovery,
+callers never see it for longer than a handoff.
 
 Determinism is untouched by construction: a transport moves *opaque
 state and results*; it never reorders a session's execution, so any
@@ -64,7 +64,6 @@ from .protocol import TransportError, read_frame, unwrap_response, write_frame
 __all__ = [
     "CheckpointPayload",
     "ReplicaTransport",
-    "InProcessHandle",
     "InProcessReplica",
     "RemoteHandle",
     "ProcessReplica",
@@ -158,61 +157,6 @@ class ReplicaTransport:
 # ----------------------------------------------------------------------
 # in-process backend (PR 9 behavior, preserved)
 # ----------------------------------------------------------------------
-class InProcessHandle:
-    """A replica handle backed by an engine handle in this process."""
-
-    def __init__(self, handle: SessionHandle) -> None:
-        self._handle = handle
-
-    @property
-    def spec(self) -> SessionSpec:
-        return self._handle.spec
-
-    @property
-    def session_id(self) -> int:
-        return self._handle.session_id
-
-    @property
-    def wall_seconds(self) -> float:
-        return self._handle.wall_seconds
-
-    @property
-    def migratable(self) -> bool:
-        """Whether the session can move (it writes checkpoints)."""
-        return self._handle._checkpointer is not None
-
-    def poll(self) -> str:
-        """Current lifecycle status of the underlying engine session."""
-        return self._handle.poll()
-
-    def done(self) -> bool:
-        """Whether the session has settled (any terminal status)."""
-        return self._handle.done()
-
-    def wait(self, timeout: Optional[float] = None) -> str:
-        """Block until the session settles; returns the final status."""
-        return self._handle.wait(timeout=timeout)
-
-    def result(self, timeout: Optional[float] = None) -> SessionResult:
-        """The session result, re-raising its failure if it has one."""
-        return self._handle.result(timeout=timeout)
-
-    def cancel(self) -> bool:
-        """Cancel the session if it has not finished; True on success."""
-        return self._handle.cancel()
-
-    def request_evict(self) -> None:
-        """Ask for a checkpoint-and-abandon at the next round boundary."""
-        self._handle._checkpointer.request_evict()
-
-    def evicted_path(self) -> Optional[str]:
-        """The checkpoint file of a settled eviction, else ``None``."""
-        if not self._handle.done():
-            return None
-        exc = self._handle._future.exception()
-        return getattr(exc, "path", None)
-
-
 class InProcessReplica(ReplicaTransport):
     """The original backend: a :class:`MiningService` in this process."""
 
@@ -242,13 +186,11 @@ class InProcessReplica(ReplicaTransport):
         spec: SessionSpec,
         checkpoint_every: Optional[int] = None,
         resume: Optional[CheckpointPayload] = None,
-    ) -> InProcessHandle:
-        return InProcessHandle(
-            self.service.submit(
-                spec,
-                resume_from=None if resume is None else resume.path,
-                checkpoint_every=checkpoint_every,
-            )
+    ) -> SessionHandle:
+        return self.service.submit(
+            spec,
+            resume_from=None if resume is None else resume.path,
+            checkpoint_every=checkpoint_every,
         )
 
     def evict(
@@ -259,11 +201,9 @@ class InProcessReplica(ReplicaTransport):
 
     def resume(
         self, checkpoint_path: str, checkpoint_every: Optional[int] = None
-    ) -> InProcessHandle:
-        return InProcessHandle(
-            self.service.resume(
-                checkpoint_path, checkpoint_every=checkpoint_every
-            )
+    ) -> SessionHandle:
+        return self.service.resume(
+            checkpoint_path, checkpoint_every=checkpoint_every
         )
 
     def stats(self) -> ServiceStats:

@@ -341,6 +341,31 @@ class SessionHandle:
             callback(self)
         return True
 
+    # -- durable sessions ------------------------------------------------
+    @property
+    def migratable(self) -> bool:
+        """Whether the session writes checkpoints, so it can be evicted."""
+        return self._checkpointer is not None
+
+    def request_evict(self) -> None:
+        """Ask for a checkpoint-and-abandon at the next round boundary.
+
+        Raises :class:`~repro.checkpoint.CheckpointError` when the session
+        writes no checkpoints.
+        """
+        if self._checkpointer is None:
+            raise CheckpointError(
+                f"session {self.session_id} is not evictable: the service "
+                f"needs a checkpoint_dir (and the session must be a stream)"
+            )
+        self._checkpointer.request_evict()
+
+    def evicted_path(self) -> Optional[str]:
+        """The checkpoint file of a settled eviction, else ``None``."""
+        if self.poll() != "evicted":
+            return None
+        return self._future.exception().path
+
     @property
     def queue_seconds(self) -> float:
         """Wall-clock time spent waiting for a driver slot."""
@@ -900,17 +925,9 @@ class MiningService:
                 f"no live session {session_id} to evict (completed sessions "
                 f"settle and leave the service)"
             )
-        checkpointer = handle._checkpointer
-        if checkpointer is None:
-            raise CheckpointError(
-                f"session {session_id} is not evictable: the service needs a "
-                f"checkpoint_dir (and the session must be a stream)"
-            )
-        checkpointer.request_evict()
-        status = handle.wait(timeout=timeout)
-        if status == "evicted":
-            return handle._future.exception().path
-        return None
+        handle.request_evict()
+        handle.wait(timeout=timeout)
+        return handle.evicted_path()
 
     def resume(
         self,
@@ -1012,6 +1029,10 @@ class MiningService:
         batch sessions, streams on a service without a checkpoint
         directory — still run to settlement.  Plain ``close()`` returns
         ``None``.
+
+        ``wait=False`` (without ``park``) returns without waiting for the
+        running sessions and cancels every session still queued, so none
+        starts after the close.
         """
         if park and self.checkpoint_dir is None:
             raise CheckpointError(
@@ -1028,11 +1049,15 @@ class MiningService:
             # Signal every parkable session first, then wait: sessions
             # reach their next boundary concurrently instead of serially.
             for handle in pending:
-                if handle._checkpointer is not None:
-                    handle._checkpointer.request_evict()
+                if handle.migratable:
+                    handle.request_evict()
             for handle in pending:
                 if handle.wait() == "evicted":
-                    parked.append(handle._future.exception().path)
+                    parked.append(handle.evicted_path())
+        elif not wait:
+            # cancel() succeeds only on a session no driver has started.
+            for handle in pending:
+                handle.cancel()
         self._drivers.shutdown(wait=wait)
         self.pool.close()
         return parked if park else None

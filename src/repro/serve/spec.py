@@ -28,6 +28,8 @@ Every field is validated at construction with a friendly
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -58,6 +60,16 @@ def _require_positive(name: str, value: int, minimum: int = 1) -> None:
     """Friendly shared check for integer knobs."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_real(name: str, value: Any) -> None:
+    """Friendly shared check for float knobs: a finite real number."""
+    if (
+        not isinstance(value, numbers.Real)
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _require_choice(name: str, value: str, choices: Sequence[str]) -> None:
@@ -181,11 +193,20 @@ class SessionSpec:
         _require_choice("session kind", self.kind, SESSION_KINDS)
         if not isinstance(self.tenant, str) or not self.tenant:
             raise ValueError(f"tenant must be a non-empty string, got {self.tenant!r}")
+        if not isinstance(self.dataset, (str, Dataset)):
+            raise ValueError(
+                f"dataset must be a registry dataset name or a Dataset, got "
+                f"{self.dataset!r}"
+            )
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.k is not None:
             _require_positive("k", self.k, minimum=2)
+        _require_real("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         _require_choice("partition scheme", self.scheme, [s.value for s in PartitionScheme])
+        _require_real("test_fraction", self.test_fraction)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(
                 f"test_fraction must be in (0, 1), got {self.test_fraction!r}"
@@ -193,8 +214,10 @@ class SessionSpec:
         _require_positive("optimizer_rounds", self.optimizer_rounds)
         _require_positive("optimizer_local_steps", self.optimizer_local_steps)
         _require_positive("target_candidates", self.target_candidates)
-        if self.round_timeout is not None and self.round_timeout <= 0:
-            raise ValueError("round_timeout must be positive when set")
+        if self.round_timeout is not None:
+            _require_real("round_timeout", self.round_timeout)
+            if self.round_timeout <= 0:
+                raise ValueError("round_timeout must be positive when set")
         _require_choice("stream kind", self.stream, STREAM_KINDS)
         _require_positive("windows", self.windows)
         _require_positive("window_size", self.window_size, minimum=2)
@@ -231,18 +254,30 @@ class SessionSpec:
         for name in ("classifier_params", "detector_params"):
             value = getattr(self, name)
             pairs = value.items() if isinstance(value, Mapping) else value
-            object.__setattr__(self, name, tuple(tuple(p) for p in pairs))
+            try:
+                normalized = tuple((key, item) for key, item in pairs)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{name} must map parameter names to values, got {value!r}"
+                ) from None
+            object.__setattr__(self, name, normalized)
         changes = []
-        for change in self.trust_changes:
-            if isinstance(change, TrustChange):
-                changes.append(change)
-            elif isinstance(change, Mapping):
-                changes.append(TrustChange(**change))
-            else:
-                window, party, trust = change
-                changes.append(
-                    TrustChange(window=int(window), party=int(party), trust=float(trust))
-                )
+        try:
+            for change in self.trust_changes:
+                if isinstance(change, TrustChange):
+                    changes.append(change)
+                elif isinstance(change, Mapping):
+                    changes.append(TrustChange(**change))
+                else:
+                    window, party, trust = change
+                    changes.append(
+                        TrustChange(window=int(window), party=int(party), trust=float(trust))
+                    )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"trust_changes must list (window, party, trust) changes, got "
+                f"{self.trust_changes!r}: {exc}"
+            ) from None
         object.__setattr__(self, "trust_changes", tuple(changes))
 
     # ------------------------------------------------------------------
@@ -461,8 +496,13 @@ class SessionSpec:
 
         Unknown keys raise a friendly :class:`ValueError` naming the key,
         so a typo in a workload file fails loudly at load time rather than
-        silently running defaults.
+        silently running defaults; so does an entry that is not a mapping.
         """
+        if not isinstance(mapping, Mapping):
+            raise ValueError(
+                f"a session spec must be a mapping of spec fields, got "
+                f"{mapping!r}"
+            )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(mapping) - known)
         if unknown:

@@ -1,6 +1,9 @@
 """Tests for the CLI entry point."""
 
+import argparse
 import json
+import threading
+import time
 
 import pytest
 
@@ -744,3 +747,294 @@ def test_experiment_diff_pass_and_fail(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
+
+
+# ----------------------------------------------------------------------
+# serve + cluster: the shared driver's contract
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("command", ["serve", "cluster"])
+def test_malformed_workload_entry_exits_2_with_one_error_line(
+    capsys, tmp_path, command
+):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps([5]))
+    code = main([command, "--workload", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def _interrupt_workload(tmp_path):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps([
+        {
+            "kind": "stream", "dataset": "wine", "tenant": "acme", "k": 3,
+            "windows": 40, "window_size": 32, "compute_privacy": False,
+            "seed": seed,
+        }
+        for seed in range(4)
+    ]))
+    return path
+
+
+@pytest.mark.parametrize("durable", [True, False])
+@pytest.mark.parametrize("command", ["serve", "cluster"])
+def test_interrupt_parks_with_a_directory_and_cancels_without(
+    capsys, tmp_path, monkeypatch, command, durable
+):
+    from repro.cluster import ClusterController
+    from repro.serve import MiningService, engine
+
+    calls = {"started": 0, "finished": 0}
+    lock = threading.Lock()
+    real_execute = engine.execute_spec
+
+    def counting_execute(*args, **kwargs):
+        with lock:
+            calls["started"] += 1
+        try:
+            return real_execute(*args, **kwargs)
+        finally:
+            with lock:
+                calls["finished"] += 1
+
+    def interrupted(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(engine, "execute_spec", counting_execute)
+    monkeypatch.setattr(MiningService, "drain", interrupted)
+    monkeypatch.setattr(ClusterController, "wait_all", interrupted)
+    argv = [
+        command, "--workload", str(_interrupt_workload(tmp_path)),
+        "--max-inflight", "1", "--shard-backend", "serial",
+    ]
+    if durable:
+        argv += ["--checkpoint-dir", str(tmp_path / "ck"), "--checkpoint-every", "2"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    # Sessions left running finish on their own driver threads.
+    deadline = time.monotonic() + 60
+    while calls["finished"] < calls["started"] and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert calls["finished"] == calls["started"]
+    assert code == 130
+    assert "interrupted" in captured.err
+    if durable:
+        assert "parked live sessions:" in captured.err
+        assert "resume with: repro stream --resume-from" in captured.err
+    else:
+        assert "parked" not in captured.err
+        assert calls["started"] < 4
+
+
+_STATS_TENANT = [
+    "submitted", "rejected", "completed", "failed", "cancelled", "evicted",
+    "privacy_sessions", "records", "messages", "bytes", "busy_seconds",
+    "sessions_per_second",
+]
+_STATS_POOL = [
+    "backend", "workers", "tasks", "batches", "busy_seconds", "utilization",
+]
+_SERVICE_STATS = [
+    "elapsed_seconds", "submitted", "rejected", "completed", "failed",
+    "cancelled", "evicted", "active", "sessions_per_second", "records",
+    "messages", "bytes", ("tenants", _STATS_TENANT), ("pool", _STATS_POOL),
+]
+_CLUSTER_STATS = [
+    "elapsed_seconds", "replicas", "placement", "backend",
+    "healthy_replicas", "submitted", "rejected", "migrations", "recoveries",
+    "rebalances", "parked", "completed", "failed", "cancelled", "evicted",
+    "active", "sessions_per_second", "records", "messages", "bytes",
+    ("tenants", [
+        "submitted", "rejected", "completed", "evicted", "privacy_sessions",
+        "records", "messages", "bytes",
+    ]),
+    ("per_replica", _SERVICE_STATS),
+]
+
+
+def _key_tree(value, tenants):
+    """Nested key lists of a JSON value; tenant-keyed maps collapse to
+    their first tenant's keys, lists to their first item's."""
+    if isinstance(value, list):
+        return _key_tree(value[0], tenants) if value else []
+    if not isinstance(value, dict):
+        return None
+    if value and set(value) <= tenants:
+        return _key_tree(next(iter(value.values())), tenants)
+    return [
+        key if _key_tree(item, tenants) is None else (key, _key_tree(item, tenants))
+        for key, item in value.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,top,row,stats_key,stats",
+    [
+        (
+            ["serve"],
+            ["sessions", "rejections", "service"],
+            ["id", "label", "status", "queue_seconds", "wall_seconds",
+             "error", "result"],
+            "service",
+            _SERVICE_STATS,
+        ),
+        (
+            ["cluster", "--replicas", "2"],
+            ["sessions", "rejections", "migrations", "chaos_killed", "cluster"],
+            ["id", "label", "status", "replica", "migrations", "error",
+             "result"],
+            "cluster",
+            _CLUSTER_STATS,
+        ),
+    ],
+)
+def test_json_key_tree_is_pinned(capsys, tmp_path, argv, top, row, stats_key, stats):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps([
+        {"kind": "batch", "dataset": "iris", "k": 3, "tenant": "acme"},
+        {"kind": "stream", "dataset": "wine", "k": 3, "windows": 4,
+         "window_size": 32, "compute_privacy": False, "tenant": "globex"},
+    ]))
+    payload = json.loads(
+        run_cli(capsys, *argv, "--workload", str(path), "--json")
+    )
+    assert list(payload) == top
+    assert all(list(session) == row for session in payload["sessions"])
+    assert _key_tree(payload[stats_key], {"acme", "globex"}) == stats
+
+
+@pytest.mark.parametrize(
+    "flags", [["--checkpoint-every", "2"], ["--checkpoint-retain", "2"]]
+)
+def test_cluster_checkpoint_flags_need_a_directory(capsys, monkeypatch, flags):
+    import repro.cli
+
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("a cluster was built")
+
+    monkeypatch.setattr(repro.cli, "ClusterController", no_cluster)
+    code = main(["cluster", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--checkpoint-dir" in captured.err
+
+
+def test_cluster_migration_scratch_directory_takes_checkpoint_every(capsys):
+    out = run_cli(
+        capsys, "cluster", "--sessions", "2", "--migrate-every", "1",
+        "--checkpoint-every", "2", "--json",
+    )
+    assert json.loads(out)["cluster"]["completed"] == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("flag", ["--poll-interval", "--heartbeat-interval"])
+def test_cluster_wait_intervals_refused_before_any_spawn(
+    capsys, monkeypatch, flag, value
+):
+    from repro.cluster import transport
+
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a replica was spawned")
+
+    monkeypatch.setattr(transport.subprocess, "Popen", no_spawn)
+    code = main(["cluster", "--backend", "process", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flag in captured.err
+
+
+_LOGGING = {"-v/--verbose": (0, None, None), "-q/--quiet": (False, None, None)}
+_BACKENDS = ("serial", "thread", "process")
+_OPTIONS = {
+    "stream": {
+        "--dataset": ("wine", None, None),
+        "--drift": ("stationary", ("stationary", "abrupt", "gradual", "bursty"), None),
+        "--windows": (20, None, int),
+        "--window-size": (64, None, int),
+        "--window-kind": ("tumbling", ("tumbling", "sliding"), None),
+        "--window-step": (None, None, int),
+        "--k": (3, None, int),
+        "--classifier": ("knn", ("knn", "linear_svm"), None),
+        "--noise": (0.05, None, float),
+        "--detector": ("meanvar", ("meanvar", "ks"), None),
+        "--shards": (1, None, int),
+        "--shard-backend": ("serial", _BACKENDS, None),
+        "--shard-plan": ("round_robin", ("round_robin", "hash", "party"), None),
+        "--overlap/--no-overlap": (None, None, None),
+        "--trust-change": ([], None, None),
+        "--skew": (0, None, int),
+        "--watermark": (0, None, int),
+        "--late-policy": ("drop", ("drop", "readmit", "upsert"), None),
+        "--seed": (0, None, int),
+        "--checkpoint-dir": (None, None, None),
+        "--checkpoint-every": (None, None, int),
+        "--checkpoint-retain": (None, None, int),
+        "--stop-after": (None, None, int),
+        "--resume-from": (None, None, None),
+        "--json": (False, None, None),
+        "--trace-out": (None, None, None),
+        "--metrics-out": (None, None, None),
+        **_LOGGING,
+    },
+    "serve": {
+        "--workload": (None, None, None),
+        "--sessions": (8, None, int),
+        "--dataset": ("iris", None, None),
+        "--max-inflight": (4, None, int),
+        "--queue-limit": (None, None, int),
+        "--shards": (2, None, int),
+        "--shard-backend": ("thread", _BACKENDS, None),
+        "--checkpoint-dir": (None, None, None),
+        "--checkpoint-every": (None, None, int),
+        "--seed": (0, None, int),
+        "--json": (False, None, None),
+        "--metrics-out": (None, None, None),
+        **_LOGGING,
+    },
+    "cluster": {
+        "--workload": (None, None, None),
+        "--sessions": (6, None, int),
+        "--dataset": ("iris", None, None),
+        "--replicas": (2, None, int),
+        "--backend": ("inprocess", ("inprocess", "process"), None),
+        "--heartbeat-interval": (0.2, None, float),
+        "--placement": ("hash", ("hash", "least_loaded", "tenant"), None),
+        "--serve": (False, None, None),
+        "--poll-interval": (0.5, None, float),
+        "--serve-idle-exit": (0, None, int),
+        "--chaos-kill": (0, None, int),
+        "--migrate-every": (0, None, int),
+        "--max-inflight": (2, None, int),
+        "--queue-limit": (None, None, int),
+        "--shards": (2, None, int),
+        "--shard-backend": ("thread", _BACKENDS, None),
+        "--checkpoint-dir": (None, None, None),
+        "--checkpoint-every": (None, None, int),
+        "--checkpoint-retain": (None, None, int),
+        "--seed": (0, None, int),
+        "--json": (False, None, None),
+        "--metrics-out": (None, None, None),
+        **_LOGGING,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+def test_serving_commands_keep_their_options(command):
+    commands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        "/".join(action.option_strings): (
+            action.default,
+            None if action.choices is None else tuple(action.choices),
+            action.type,
+        )
+        for action in commands.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    assert options == _OPTIONS[command]

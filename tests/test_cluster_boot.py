@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterController
+from repro.cluster import ClusterController, ClusterError
 from repro.cluster import controller as controller_module
 from repro.cluster import transport
 from repro.cluster.protocol import TransportError
@@ -192,3 +192,17 @@ def test_failed_boot_leaves_no_child_alive(monkeypatch, spawned):
         ClusterController(replicas=2, backend="process")
     assert len(spawned) == 1
     _assert_reaped(spawned[0])
+
+
+@pytest.mark.parametrize(
+    "interval", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+)
+def test_bad_heartbeat_interval_refused_before_any_spawn(monkeypatch, interval):
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a replica was spawned")
+
+    monkeypatch.setattr(transport.subprocess, "Popen", no_spawn)
+    with pytest.raises(ClusterError, match="heartbeat_interval"):
+        ClusterController(
+            replicas=2, backend="process", heartbeat_interval=interval
+        )

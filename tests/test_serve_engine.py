@@ -1,6 +1,7 @@
 """MiningService: concurrency, determinism, admission control, tenancy."""
 
 import threading
+import time
 
 import pytest
 
@@ -260,6 +261,25 @@ def test_cancel_frees_admission_capacity_immediately():
         stats = service.stats()
     assert stats.cancelled == 1
     assert stats.completed == 2
+
+
+def test_close_without_waiting_cancels_queued_sessions():
+    pairs = [gated_spec_and_source(seed=seed) for seed in range(4)]
+    service = MiningService(max_inflight=1, shard_backend="serial")
+    handles = [service.submit(spec, source=source) for spec, source in pairs]
+    deadline = time.monotonic() + 30
+    while handles[0].poll() != "running" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert handles[0].poll() == "running"
+    service.close(wait=False)
+    for _, source in pairs:
+        source.gate.set()
+    statuses = [handle.wait(timeout=30) for handle in handles]
+    assert statuses == ["completed", "cancelled", "cancelled", "cancelled"]
+    stats = service.stats()
+    assert stats.completed == 1
+    assert stats.cancelled == 3
+    assert stats.active == 0
 
 
 def test_run_cleans_up_after_midlist_rejection():

@@ -41,6 +41,15 @@ from repro.streaming import StreamConfig, TrustChange, make_stream
         ({"target_candidates": 0}, "target_candidates"),
         ({"round_timeout": 0.0}, "round_timeout"),
         ({"readapt_cooldown": -1}, "readapt_cooldown"),
+        ({"dataset": 5}, "dataset"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"noise_sigma": "a"}, "noise_sigma"),
+        ({"test_fraction": "x"}, "test_fraction"),
+        ({"round_timeout": "x"}, "round_timeout"),
+        ({"trust_changes": [5]}, "trust_changes"),
+        ({"classifier_params": 5}, "classifier_params"),
+        ({"detector_params": 5}, "detector_params"),
     ],
 )
 def test_bad_field_raises_friendly_valueerror(overrides, needle):
@@ -201,6 +210,12 @@ def test_from_mapping_rejects_unknown_keys():
     with pytest.raises(ValueError) as excinfo:
         SessionSpec.from_mapping({"kind": "batch", "classifierr": "knn"})
     assert "classifierr" in str(excinfo.value)
+
+
+def test_from_mapping_rejects_a_non_mapping():
+    with pytest.raises(ValueError) as excinfo:
+        SessionSpec.from_mapping(5)
+    assert "mapping" in str(excinfo.value)
 
 
 def test_mapping_round_trip_batch_and_stream():

@@ -120,7 +120,7 @@ from .checkpoint import (
 from .cluster import ClusterController, ClusterError
 from .core.session import run_sap_session
 from .datasets.registry import dataset_summary, load_dataset
-from .obs import Telemetry
+from .obs import Telemetry, log_to_stderr
 from .parties.config import ClassifierSpec, SAPConfig
 from .serve import AdmissionError, MiningService, SessionSpec
 from .streaming import (
@@ -256,12 +256,7 @@ def _configure_logging(args: argparse.Namespace) -> None:
         level = logging.INFO
     else:
         level = logging.WARNING
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    logger = logging.getLogger("repro")
-    logger.handlers[:] = [handler]
-    logger.setLevel(level)
-    logger.propagate = False
+    log_to_stderr(level)
 
 
 def build_parser() -> argparse.ArgumentParser:

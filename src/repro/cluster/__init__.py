@@ -3,7 +3,7 @@
 The scale-out layer the ROADMAP's "scale-out serving over checkpoints"
 item asks for.  A :class:`ClusterController` is a **control plane** over
 N replicas, each speaking the narrow :class:`ReplicaTransport` protocol
-(submit / poll / result / evict / resume / stats / health), with
+(submit / poll / result / evict / stats / health), with
 checkpoints crossing as opaque RPCK payloads:
 
 * **backends** (:mod:`~repro.cluster.transport`) — ``"inprocess"`` runs

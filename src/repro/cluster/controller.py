@@ -3,8 +3,8 @@
 :class:`ClusterController` is a **control plane**: it never touches an
 engine directly any more, only the narrow
 :class:`~repro.cluster.transport.ReplicaTransport` surface — submit /
-poll / result / evict / resume / stats / health — with checkpoints
-crossing as opaque RPCK payloads.  Two interchangeable backends plug in:
+poll / result / evict / stats / health — with checkpoints crossing as
+opaque RPCK payloads.  Two interchangeable backends plug in:
 
 * ``backend="inprocess"`` (default) — N
   :class:`~repro.serve.engine.MiningService` replicas in this process,
@@ -58,7 +58,7 @@ from typing import (
 )
 
 from ..checkpoint import CheckpointError, list_checkpoints, loads_checkpoint
-from ..obs import Telemetry, cluster_collector
+from ..obs import NULL_TRACER, Telemetry, cluster_collector
 from ..serve.engine import (
     AdmissionError,
     MiningService,
@@ -106,6 +106,12 @@ class ClusterSession:
     to whichever replica currently owns it, blocking through handoffs
     (and through crash recovery, which is just a handoff the session did
     not ask for) instead of surfacing the internal eviction.
+
+    It also owns the handoff protocol the controller drives: a handoff
+    claims the session (:meth:`_claim`), then ends in exactly one of
+    finish (a new hop), release (the same hop, or parked at a
+    checkpoint), or lost.  A hop that settles ``evicted`` while no
+    handoff holds it parks at its checkpoint.
     """
 
     def __init__(
@@ -118,18 +124,16 @@ class ClusterSession:
     ) -> None:
         self.spec = spec
         self.session_id = session_id
-        #: completed migration hops (crash recoveries included)
+        #: the checkpoint cadence every hop of the session is admitted with
+        self.checkpoint_every = checkpoint_every
+        #: completed migration hops (resumes and crash recoveries included)
         self.migrations = 0
         self._cond = threading.Condition()
         self._replica = replica
         self._handle = handle
-        # Bumped on every handoff; waiters blocked on the *old* handle's
-        # eviction use it to tell "my handle was replaced" from "the
-        # session really settled".
-        self._epoch = 0
+        # True while a handoff holds the session (claimed, not yet ended).
         self._migrating = False
         self._parked_path: Optional[str] = None
-        self._checkpoint_every = checkpoint_every
         # Set only when a replica died and no surviving replica could
         # take the session back; terminal.
         self._lost_error: Optional[str] = None
@@ -154,9 +158,12 @@ class ClusterSession:
         with self._cond:
             return self._handle.wall_seconds
 
-    def poll(self) -> str:
-        """Status: queued | running | migrating | parked | completed |
-        failed | cancelled."""
+    def _status(self, parked: Sequence[str] = ()) -> str:
+        """The session's status, passing the hop's own ``evicted`` and
+        ``lost`` through.  A hop that settled ``evicted`` while no handoff
+        holds it parks here, at the file its owner names — or, for an
+        owner that can no longer be asked, the one of ``parked`` (the
+        owner's parked files) carrying the hop's label."""
         with self._cond:
             if self._parked_path is not None:
                 return "parked"
@@ -164,11 +171,27 @@ class ClusterSession:
                 return "failed"
             if self._migrating:
                 return "migrating"
-            status = self._handle.poll()
-        # A handle settling "evicted" outside a marked handoff is the
-        # instant between eviction and the park/handoff bookkeeping; a
-        # "lost" handle is a crash recovery that has not claimed the
-        # session yet.  Both resolve into a handoff.
+            handle = self._handle
+            status = handle.poll()
+            path = handle.evicted_path() if status == "evicted" else None
+            if path is None:
+                label = f"session-{handle.session_id}-"
+                path = next(
+                    (p for p in parked if os.path.basename(p).startswith(label)),
+                    None,
+                )
+            if path is None:
+                return status
+            self._parked_path = path
+            self._cond.notify_all()
+            return "parked"
+
+    def poll(self) -> str:
+        """Status: queued | running | migrating | parked | completed |
+        failed | cancelled."""
+        status = self._status()
+        # A "lost" hop is a crash recovery that has not claimed the
+        # session yet; it resolves into a handoff.
         return "migrating" if status in ("evicted", "lost") else status
 
     def done(self) -> bool:
@@ -177,32 +200,29 @@ class ClusterSession:
 
     # -- blocking -------------------------------------------------------
     def wait(self, timeout: Optional[float] = None) -> str:
-        """Block through any handoffs until the session settles (or the
-        timeout lapses); returns the final :meth:`poll` status."""
+        """Block through any handoffs until the session settles or parks
+        (or the timeout lapses); returns the final :meth:`poll` status."""
         deadline = _deadline(timeout)
         while True:
             with self._cond:
-                if self._parked_path is not None:
-                    return "parked"
-                if self._lost_error is not None:
-                    return "failed"
+                status = self._status()
+                if status == "migrating":
+                    # A handoff holds the session; every end notifies.
+                    remaining = _remaining(deadline)
+                    if remaining is not None and remaining <= 0:
+                        return status
+                    self._cond.wait(remaining)
+                    continue
                 handle = self._handle
-                epoch = self._epoch
-            status = handle.wait(timeout=_remaining(deadline))
-            if status in ("completed", "failed", "cancelled"):
+            if status in ("parked", "completed", "failed", "cancelled"):
                 return status
-            if status in ("evicted", "lost"):
-                if not self._await_handoff(epoch, deadline):
-                    return self.poll()
-                if self._stalled(epoch):
-                    # The handoff (or the crash recovery) has not claimed
-                    # the session yet; yield instead of hot-polling.
-                    if deadline is not None and time.perf_counter() >= deadline:
-                        return self.poll()
-                    time.sleep(0.02)
-                continue
             if deadline is not None and time.perf_counter() >= deadline:
                 return self.poll()
+            if status in ("queued", "running"):
+                handle.wait(timeout=_remaining(deadline))
+            else:
+                # Lost, and crash recovery has not claimed it yet.
+                time.sleep(0.02)
 
     def result(self, timeout: Optional[float] = None) -> SessionResult:
         """Block for, then return, the session's result — across migrations.
@@ -213,60 +233,21 @@ class ClusterSession:
         session's own exception if it failed, and
         :class:`concurrent.futures.TimeoutError` on timeout.
         """
-        deadline = _deadline(timeout)
-        while True:
-            with self._cond:
-                parked = self._parked_path
-                lost = self._lost_error
-                handle = self._handle
-                epoch = self._epoch
-            if parked is not None:
-                raise ClusterError(
-                    f"session {self.session_id} is parked at {parked!r}; "
-                    f"resume it to finish the run"
-                )
-            if lost is not None:
-                raise ClusterError(lost)
-            status = handle.wait(timeout=_remaining(deadline))
-            if status in ("completed", "failed", "cancelled"):
-                return handle.result(timeout=_remaining(deadline))
-            if status in ("evicted", "lost"):
-                if not self._await_handoff(epoch, deadline):
-                    raise FutureTimeoutError()
-                if self._stalled(epoch):
-                    if status == "evicted":
-                        # An eviction that was not a cluster handoff;
-                        # surface the SessionEvicted as the engine would.
-                        return handle.result()
-                    # Lost, recovery pending: yield, then re-check.
-                    if deadline is not None and time.perf_counter() >= deadline:
-                        raise FutureTimeoutError()
-                    time.sleep(0.02)
-                continue
-            raise FutureTimeoutError()
-
-    def _stalled(self, epoch: int) -> bool:
-        """True when nothing replaced the epoch's handle (yet); i.e. the
-        session neither handed off, parked, nor was declared lost."""
+        status = self.wait(timeout)
         with self._cond:
-            return (
-                self._epoch == epoch
-                and not self._migrating
-                and self._parked_path is None
-                and self._lost_error is None
+            parked = self._parked_path
+            lost = self._lost_error
+            handle = self._handle
+        if parked is not None:
+            raise ClusterError(
+                f"session {self.session_id} is parked at {parked!r}; "
+                f"resume it to finish the run"
             )
-
-    def _await_handoff(
-        self, epoch: int, deadline: Optional[float]
-    ) -> bool:
-        """Wait out an in-flight handoff; False when the deadline lapsed."""
-        with self._cond:
-            while self._epoch == epoch and self._migrating:
-                remaining = _remaining(deadline)
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-        return True
+        if lost is not None:
+            raise ClusterError(lost)
+        if status not in ("completed", "failed", "cancelled"):
+            raise FutureTimeoutError()
+        return handle.result()
 
     def cancel(self) -> bool:
         """Cancel while still queued on the owning replica; returns success.
@@ -275,35 +256,71 @@ class ClusterSession:
         holds no queue slot to give back).
         """
         with self._cond:
-            if (
-                self._migrating
-                or self._parked_path is not None
-                or self._lost_error is not None
-            ):
+            if self._status() != "queued":
                 return False
             handle = self._handle
         return handle.cancel()
 
-    # -- handoff bookkeeping (called by the controller) -----------------
-    def _begin_handoff(self) -> Any:
-        self._migrating = True
-        return self._handle
+    # -- the handoff protocol (driven by the controller) ----------------
+    def _claim(self, replica: int) -> Any:
+        """Claim the live hop on ``replica`` for a handoff; returns its
+        handle.  Refuses, with :class:`ClusterError`, a session that is
+        parked, lost, already moving, elsewhere, or settled."""
+        with self._cond:
+            status = self._status()
+            if status == "parked":
+                raise ClusterError(
+                    f"session {self.session_id} is already parked at "
+                    f"{self._parked_path!r}; resume it instead of migrating"
+                )
+            if status == "migrating":
+                raise ClusterError(
+                    f"session {self.session_id} is already migrating"
+                )
+            if self._lost_error is not None:
+                raise ClusterError(self._lost_error)
+            if self._replica != replica:
+                raise ClusterError(
+                    f"session {self.session_id} no longer lives on replica "
+                    f"{replica}"
+                )
+            if status in ("completed", "failed", "cancelled", "evicted"):
+                raise ClusterError(
+                    f"session {self.session_id} already settled "
+                    f"({status}); nothing to migrate"
+                )
+            self._migrating = True
+            return self._handle
 
-    def _finish_handoff(self, replica: int, handle: Any) -> None:
+    def _claim_parked(self) -> str:
+        """Claim a parked session for a resume; returns its checkpoint
+        path."""
+        with self._cond:
+            status = self.poll()
+            if status != "parked":
+                raise ClusterError(
+                    f"session {self.session_id} is not parked (status "
+                    f"{status!r}); only parked sessions resume"
+                )
+            path, self._parked_path = self._parked_path, None
+            self._migrating = True
+            return path
+
+    def _finish(self, replica: int, handle: Any) -> None:
+        """End a handoff on a new hop: one more migration."""
         with self._cond:
             self._replica = replica
             self._handle = handle
-            self._epoch += 1
             self._migrating = False
             self.migrations += 1
-            self._parked_path = None
             self._cond.notify_all()
 
-    def _abort_handoff(self, parked_path: Optional[str] = None) -> None:
+    def _release(self, park_at: Optional[str] = None) -> None:
+        """End a handoff on the claimed hop, parked at ``park_at`` if given."""
         with self._cond:
             self._migrating = False
-            if parked_path is not None:
-                self._parked_path = parked_path
+            if park_at is not None:
+                self._parked_path = park_at
             self._cond.notify_all()
 
     def _mark_lost(self, message: str) -> None:
@@ -787,7 +804,9 @@ class ClusterController:
         sessions, batch sessions, and clusters without a
         ``checkpoint_dir``.  If *neither* replica can re-admit the
         session, it is parked (checkpoint kept, capacity released) and
-        the error names the file to :meth:`resume` from.
+        the error names the file to :meth:`resume` from.  If ``timeout``
+        lapses before the next boundary, :class:`ClusterError` says so
+        and the session parks when it reaches that boundary.
         """
         self._require_migratable()
         self._check_replica(dst)
@@ -796,91 +815,110 @@ class ClusterController:
                 f"replica {dst} is down; pick a live migration target"
             )
         session = self.session(session_id)
-        with session._cond:
-            if session._parked_path is not None:
+        src = session.replica
+        if dst == src:
+            raise ClusterError(
+                f"session {session_id} already lives on replica {src}"
+            )
+        handle = session._claim(src)
+        if not handle.migratable:
+            session._release()
+            raise ClusterError(
+                f"session {session_id} is not migratable: only stream "
+                f"sessions on a checkpointing cluster can move"
+            )
+        with self._span("migrate", session=session_id, src=src, dst=dst) as span:
+            payload = self._evict(session, handle, src, timeout)
+            if payload is None:
+                span.set(outcome="completed-first")
+                self._count_migration("completed-first")
+                return None
+            landed = self._land(session, payload, (dst,), "migrated")
+            if landed is None:
+                landed = self._land(session, payload, (src,), "bounced")
+            if landed is None:
+                session._release(park_at=payload.path)
                 raise ClusterError(
-                    f"session {session_id} is already parked at "
-                    f"{session._parked_path!r}; resume it instead of "
-                    f"migrating"
+                    f"migration parked session {session_id}: neither "
+                    f"replica {dst} nor {src} could re-admit it; resume from "
+                    f"{payload.path!r}"
                 )
-            if session._migrating:
-                raise ClusterError(
-                    f"session {session_id} is already migrating"
-                )
-            src = session._replica
-            if dst == src:
-                raise ClusterError(
-                    f"session {session_id} already lives on replica {src}"
-                )
-            handle = session._handle
-            if handle.done():
-                raise ClusterError(
-                    f"session {session_id} already settled "
-                    f"({handle.poll()}); nothing to migrate"
-                )
-            if not handle.migratable:
-                raise ClusterError(
-                    f"session {session_id} is not migratable: only stream "
-                    f"sessions on a checkpointing cluster can move"
-                )
-            session._begin_handoff()
-        span = self._span("migrate", session=session_id, src=src, dst=dst)
-        try:
-            outcome, final = self._handoff(session, handle, src, dst, timeout)
-        except BaseException as exc:
-            if span is not None:
-                span.end(error=type(exc).__name__)
-            raise
-        if span is not None:
-            span.end(outcome=outcome)
-        self._count_migration(outcome)
-        return final
+            span.set(outcome="migrated" if landed == dst else "bounced")
+        return landed
 
-    def _handoff(
+    def _evict(
         self,
         session: ClusterSession,
         handle: Any,
         src: int,
-        dst: int,
         timeout: Optional[float],
-    ) -> Tuple[str, Optional[int]]:
-        """Evict on ``src``, resume on ``dst`` (bouncing back to ``src`` if
-        the destination refuses); returns ``(outcome, final replica)``."""
+    ) -> Optional[CheckpointPayload]:
+        """Checkpoint-and-abandon a claimed hop at its next round boundary.
+
+        Returns the checkpoint, or ``None`` (claim released) when the hop
+        settled first.  When ``timeout`` lapses first, the claim is
+        released and :class:`ClusterError` raised; the eviction request
+        stays armed, so the session parks at its next boundary.
+        """
         try:
             payload = self.replicas[src].evict(
                 handle.session_id, timeout=timeout
             )
         except CheckpointError:
-            # The handle settled (and left the replica) between our check
-            # and the evict; treat exactly like completing pre-boundary.
+            # The hop settled (and left the replica) before the request:
+            # exactly like completing before a boundary.
             payload = None
         except BaseException:
-            session._abort_handoff()
+            session._release()
             raise
-        if payload is None:
-            session._abort_handoff()
-            return "completed-first", None
-        for target, outcome in ((dst, "migrated"), (src, "bounced")):
+        if payload is not None:
+            return payload
+        session._release()
+        if handle.poll() in ("completed", "failed", "cancelled"):
+            return None
+        raise ClusterError(
+            f"session {session.session_id} reached no round boundary within "
+            f"{timeout} s; it parks at its next boundary"
+        )
+
+    def _land(
+        self,
+        session: ClusterSession,
+        payload: Optional[CheckpointPayload],
+        targets: Sequence[int],
+        outcome: str,
+    ) -> Optional[int]:
+        """Re-admit a claimed session on the first of ``targets`` that
+        accepts it — from ``payload``, or from scratch when it is ``None``
+        — and count the hop; ``None`` (claim kept) if every one refuses."""
+        for target in targets:
             try:
-                new_handle = self.replicas[target].submit(
+                handle = self.replicas[target].submit(
                     session.spec,
-                    checkpoint_every=session._checkpoint_every,
+                    checkpoint_every=session.checkpoint_every,
                     resume=payload,
                 )
-            except AdmissionError:
-                continue
-            session._finish_handoff(target, new_handle)
-            return outcome, target
-        session._abort_handoff(parked_path=payload.path)
-        raise ClusterError(
-            f"migration parked session {session.session_id}: neither "
-            f"replica {dst} nor {src} could re-admit it; resume from "
-            f"{payload.path!r}"
-        )
+            except (AdmissionError, CheckpointError):
+                continue  # full, down, or refusing a damaged payload
+            session._finish(target, handle)
+            self._count_migration(outcome)
+            return target
+        return None
+
+    def _placement_order(self, session: ClusterSession) -> List[int]:
+        """The eligible replicas, the placement policy's pick first."""
+        with self._lock:
+            eligible = self._eligible()
+        if not eligible:
+            return []
+        first = self._place(session.spec, session.session_id, eligible, self)
+        if first not in eligible:
+            first = eligible[0]
+        return [first] + [index for index in eligible if index != first]
 
     def _count_migration(self, outcome: str) -> None:
         with self._lock:
-            if outcome in ("migrated", "bounced", "drained", "recovered"):
+            if outcome != "completed-first":
                 self._migrations += 1
             if outcome == "recovered":
                 self._recoveries += 1
@@ -909,16 +947,12 @@ class ClusterController:
                 )
             movable: Dict[int, List[int]] = {index: [] for index in eligible}
             for session in self._sessions.values():
-                with session._cond:
-                    live = (
-                        session._parked_path is None
-                        and session._lost_error is None
-                        and not session._migrating
-                        and not session._handle.done()
-                        and session._handle.migratable
-                    )
-                    owner = session._replica
-                if live and owner in movable:
+                owner = session.replica
+                if (
+                    owner in movable
+                    and session.spec.kind == "stream"
+                    and session.poll() in ("queued", "running")
+                ):
                     movable[owner].append(session.session_id)
         total = sum(len(ids) for ids in movable.values())
         ceiling = math.ceil(total / len(eligible)) if total else 0
@@ -936,22 +970,16 @@ class ClusterController:
                 plan.append((movable[src].pop(), src, dst))
                 counts[src] -= 1
                 counts[dst] += 1
-        span = self._span("rebalance", planned=len(plan))
         moves: List[Tuple[int, int, int]] = []
-        try:
+        with self._span("rebalance", planned=len(plan)) as span:
             for session_id, src, dst in plan:
                 try:
                     final = self.migrate(session_id, dst, timeout=timeout)
                 except ClusterError:
-                    continue  # settled or started moving since planning
+                    continue  # settled, moving, or parking since planning
                 if final is not None:
                     moves.append((session_id, src, final))
-        except BaseException as exc:
-            if span is not None:
-                span.end(error=type(exc).__name__)
-            raise
-        if span is not None:
-            span.end(moves=len(moves))
+            span.set(moves=len(moves))
         with self._lock:
             self._rebalances += 1
         return moves
@@ -968,18 +996,19 @@ class ClusterController:
         sessions all get eviction requests up front (they reach their
         round boundaries concurrently), then each checkpoint is either
         re-placed on the remaining replicas (``resume=True``, the
-        default) or left *parked* for :meth:`resume`.  Non-checkpointable
-        sessions (batch, or streams on a non-checkpointing cluster) are
-        waited out.  Returns ``(session_id, destination)`` pairs with
-        ``None`` for parked sessions.
+        default; the placement policy's pick first, then the others) or
+        left *parked* for :meth:`resume`.  Non-checkpointable sessions
+        (batch, or streams on a non-checkpointing cluster) are waited
+        out.  Returns ``(session_id, destination)`` pairs with ``None``
+        for parked sessions — those no replica admitted, and those that
+        reached no boundary within ``timeout`` (they park at the next).
         """
         self._check_replica(replica)
         if resume:
             self._require_migratable()
         with self._lock:
             self._draining.add(replica)
-            eligible = self._eligible()
-            if resume and not eligible:
+            if resume and not self._eligible():
                 self._draining.discard(replica)
                 raise ClusterError(
                     f"cannot drain replica {replica}: it is the last "
@@ -988,84 +1017,47 @@ class ClusterController:
             owned = [
                 session
                 for session in self._sessions.values()
-                if session._replica == replica
+                if session.replica == replica
             ]
-        span = self._span(
+        dispositions: List[Tuple[int, Optional[int]]] = []
+        with self._span(
             "drain", replica=replica, resume=resume, sessions=len(owned)
-        )
-        try:
-            dispositions = self._drain_sessions(
-                replica, owned, eligible, resume, timeout
-            )
-        except BaseException as exc:
-            if span is not None:
-                span.end(error=type(exc).__name__)
-            raise
-        if span is not None:
-            span.end(moved=len([d for _, d in dispositions if d is not None]))
-        return dispositions
-
-    def _drain_sessions(
-        self,
-        replica: int,
-        owned: Sequence[ClusterSession],
-        eligible: Tuple[int, ...],
-        resume: bool,
-        timeout: Optional[float],
-    ) -> List[Tuple[int, Optional[int]]]:
-        source = self.replicas[replica]
-        # Signal every movable session first so boundaries are reached
-        # concurrently, then collect checkpoints one by one.
-        marked: List[Tuple[ClusterSession, Any]] = []
-        waited: List[ClusterSession] = []
-        for session in owned:
-            with session._cond:
-                if (
-                    session._parked_path is not None
-                    or session._lost_error is not None
-                    or session._migrating
-                    or session._handle.done()
-                ):
-                    continue
-                if not session._handle.migratable:
+        ) as span:
+            # Signal every movable session first so boundaries are reached
+            # concurrently, then collect checkpoints one by one.
+            marked: List[Tuple[ClusterSession, Any]] = []
+            waited: List[ClusterSession] = []
+            for session in owned:
+                try:
+                    handle = session._claim(replica)
+                except ClusterError:
+                    continue  # parked, lost, moving, moved or settled
+                if not handle.migratable:
+                    session._release()
                     waited.append(session)
                     continue
-                handle = session._begin_handoff()
                 handle.request_evict()
                 marked.append((session, handle))
-        dispositions: List[Tuple[int, Optional[int]]] = []
-        for session, handle in marked:
-            try:
-                payload = source.evict(handle.session_id, timeout=timeout)
-            except CheckpointError:
-                payload = None  # settled before the eviction signal landed
-            if payload is None:
-                session._abort_handoff()
-                continue
-            if not resume:
-                session._abort_handoff(parked_path=payload.path)
-                dispositions.append((session.session_id, None))
-                continue
-            destination = self._place(
-                session.spec, session.session_id, eligible, self
-            )
-            if destination not in eligible:
-                destination = eligible[0]
-            try:
-                new_handle = self.replicas[destination].submit(
-                    session.spec,
-                    checkpoint_every=session._checkpoint_every,
-                    resume=payload,
-                )
-            except AdmissionError:
-                session._abort_handoff(parked_path=payload.path)
-                dispositions.append((session.session_id, None))
-                continue
-            session._finish_handoff(destination, new_handle)
-            self._count_migration("drained")
-            dispositions.append((session.session_id, destination))
-        for session in waited:
-            session.wait(timeout=timeout)
+            for session, handle in marked:
+                try:
+                    payload = self._evict(session, handle, replica, timeout)
+                except ClusterError:  # no boundary yet: parks at the next
+                    dispositions.append((session.session_id, None))
+                    continue
+                if payload is None:
+                    continue
+                landed = None
+                if resume:
+                    landed = self._land(
+                        session, payload, self._placement_order(session),
+                        "drained",
+                    )
+                if landed is None:
+                    session._release(park_at=payload.path)
+                dispositions.append((session.session_id, landed))
+            for session in waited:
+                session.wait(timeout=timeout)
+            span.set(moved=sum(1 for _, landed in dispositions if landed is not None))
         return dispositions
 
     def resume(
@@ -1077,41 +1069,30 @@ class ClusterController:
         """Re-admit a *parked* session; returns the replica it landed on.
 
         Parked sessions (from ``drain(..., resume=False)``, a failed
-        double-admission during :meth:`migrate`, or a crash recovery
-        that found no room) keep their checkpoint and their
-        :class:`ClusterSession` identity; resuming hands the same object
-        a fresh engine handle, so existing waiters unblock.
+        double-admission during :meth:`migrate`, a lapsed migrate or
+        drain wait, or a crash recovery that found no room) keep their
+        checkpoint and their :class:`ClusterSession` identity; resuming
+        hands the same object a fresh engine handle, so existing waiters
+        unblock.  The session lands on ``replica``, or else on the
+        placement policy's pick or, failing that, any other eligible
+        replica; each landing counts one migration hop.  If none admits
+        it, the session stays parked and :class:`ClusterError` says so.
         """
         session = self.session(session_id)
-        with self._lock:
-            eligible = self._eligible()
-        with session._cond:
-            path = session._parked_path
-            if path is None:
-                raise ClusterError(
-                    f"session {session_id} is not parked (status "
-                    f"{session.poll()!r}); only parked sessions resume"
-                )
         if replica is not None:
             self._check_replica(replica)
-            destination = replica
-        else:
-            if not eligible:
-                raise ClusterError(
-                    "every replica is draining or down; nowhere to resume"
-                )
-            destination = self._place(
-                session.spec, session.session_id, eligible, self
-            )
-            if destination not in eligible:
-                destination = eligible[0]
-        new_handle = self.replicas[destination].submit(
-            session.spec,
-            checkpoint_every=session._checkpoint_every,
-            resume=CheckpointPayload(path),
+        path = session._claim_parked()
+        targets = (
+            [replica] if replica is not None else self._placement_order(session)
         )
-        session._finish_handoff(destination, new_handle)
-        return destination
+        landed = self._land(session, CheckpointPayload(path), targets, "resumed")
+        if landed is None:
+            session._release(park_at=path)
+            raise ClusterError(
+                f"no replica could re-admit session {session_id}; it stays "
+                f"parked at {path!r}"
+            )
+        return landed
 
     def undrain(self, replica: int) -> None:
         """Let a drained replica accept placements again."""
@@ -1128,47 +1109,54 @@ class ClusterController:
 
         Recovery is a handoff the session did not ask for: the newest
         intact checkpoint in the dead replica's directory travels to a
-        surviving replica as bytes; a session without one is simply
-        re-run from the start (sessions are deterministic, so the result
-        is bit-identical either way — only wall-clock work is lost).
-        Sessions no surviving replica can admit are parked when a
-        checkpoint exists, declared lost otherwise.
+        surviving replica as bytes; a session without one (or whose
+        checkpoint no survivor accepts) is simply re-run from the start
+        (sessions are deterministic, so the result is bit-identical
+        either way — only wall-clock work is lost).  Survivors are tried
+        in placement order.  Sessions no survivor can admit are parked
+        when a checkpoint exists, declared lost otherwise; sessions that
+        already settled are left alone.
         """
         with self._lock:
             if self._closed:
                 return
+            # Every death during boot finds none: no session exists
+            # before the constructor returns, nor does self.replicas.
             owned = [
                 session
                 for session in self._sessions.values()
-                if session._replica == index
+                if session.replica == index
             ]
-            if not owned:
-                # Every death during boot ends here: no session exists
-                # before the constructor returns, nor does self.replicas.
-                return
-            eligible = self._eligible()
-        span = self._span("recover", replica=index, sessions=len(owned))
+        if not owned:
+            return
         outcomes = {"recovered": 0, "parked": 0, "lost": 0}
-        try:
+        with self._span("recover", replica=index, sessions=len(owned)) as span:
             for session in owned:
-                with session._cond:
-                    if (
-                        session._parked_path is not None
-                        or session._lost_error is not None
-                        or session._migrating
-                        or session._replica != index
-                    ):
-                        continue
-                    handle = session._begin_handoff()
-                outcome = self._recover_session(session, handle, index, eligible)
-                if outcome is not None:
-                    outcomes[outcome] += 1
-        except BaseException as exc:
-            if span is not None:
-                span.end(error=type(exc).__name__)
-            raise
-        if span is not None:
-            span.end(**outcomes)
+                try:
+                    handle = session._claim(index)
+                except ClusterError:
+                    continue  # parked, lost, moving or settled
+                payload = self._latest_checkpoint(index, handle.session_id)
+                order = self._placement_order(session)
+                # From the checkpoint if there is one, else (or when no
+                # survivor takes it) from scratch.
+                attempts = [None] if payload is None else [payload, None]
+                if any(
+                    self._land(session, attempt, order, "recovered") is not None
+                    for attempt in attempts
+                ):
+                    outcomes["recovered"] += 1
+                elif payload is not None:
+                    session._release(park_at=payload.path)
+                    outcomes["parked"] += 1
+                else:
+                    session._mark_lost(
+                        f"session {session.session_id} was lost: replica "
+                        f"{index} died leaving no checkpoint, and no "
+                        f"surviving replica could re-run it"
+                    )
+                    outcomes["lost"] += 1
+            span.set(**outcomes)
 
     def _latest_checkpoint(
         self, replica_index: int, engine_session_id: int
@@ -1190,55 +1178,14 @@ class ClusterController:
             return CheckpointPayload(path, data=data)
         return None
 
-    def _recover_session(
-        self,
-        session: ClusterSession,
-        handle: Any,
-        dead_index: int,
-        eligible: Tuple[int, ...],
-    ) -> Optional[str]:
-        payload = self._latest_checkpoint(dead_index, handle.session_id)
-        order: List[int] = []
-        if eligible:
-            first = self._place(
-                session.spec, session.session_id, eligible, self
-            )
-            if first not in eligible:
-                first = eligible[0]
-            order = [first] + [i for i in eligible if i != first]
-        for attempt in ([payload, None] if payload is not None else [None]):
-            for target in order:
-                try:
-                    new_handle = self.replicas[target].submit(
-                        session.spec,
-                        checkpoint_every=session._checkpoint_every,
-                        resume=attempt,
-                    )
-                except AdmissionError:
-                    continue
-                except CheckpointError:
-                    break  # damaged payload: fall through to a fresh re-run
-                session._finish_handoff(target, new_handle)
-                self._count_migration("recovered")
-                return "recovered"
-        if payload is not None:
-            session._abort_handoff(parked_path=payload.path)
-            return "parked"
-        session._mark_lost(
-            f"session {session.session_id} was lost: replica {dead_index} "
-            f"died leaving no checkpoint, and no surviving replica could "
-            f"re-run it"
-        )
-        return "lost"
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     def _span(self, name: str, **attrs: Any):
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            return tel.span(name, **attrs)
-        return None
+        """A span to open with ``with``; a no-op one when telemetry is off."""
+        if self.telemetry is None:
+            return NULL_TRACER.span(name)
+        return self.telemetry.span(name, **attrs)
 
     def stats(self) -> ClusterStats:
         """The merged cluster snapshot; traffic counters are exact sums of
@@ -1256,7 +1203,7 @@ class ClusterController:
             parked = sum(
                 1
                 for session in self._sessions.values()
-                if session._parked_path is not None
+                if session.parked_path is not None
             )
             ledgers = {
                 name: (ledger.submitted, ledger.privacy_sessions,
@@ -1343,30 +1290,10 @@ class ClusterController:
             parked_by_replica[replica.index] = list(parked)
             paths.extend(parked)
         for session in sessions:
-            with session._cond:
-                if (
-                    session._parked_path is not None
-                    or session._lost_error is not None
-                    or session._migrating
-                ):
-                    continue
-                handle = session._handle
-                path: Optional[str] = None
-                if handle.poll() == "evicted":
-                    path = handle.evicted_path()
-                if path is None:
-                    # A process replica is gone by now; recover the path
-                    # from the parked list by the engine session's label.
-                    prefix = f"session-{handle.session_id}-"
-                    candidates = [
-                        p
-                        for p in parked_by_replica.get(session._replica, [])
-                        if os.path.basename(p).startswith(prefix)
-                    ]
-                    path = candidates[-1] if candidates else None
-                if path is not None:
-                    session._parked_path = path
-                    session._cond.notify_all()
+            # Observing a session parks a hop its replica evicted; a
+            # closed process replica can no longer name the file, but its
+            # list of parked files can.
+            session._status(parked_by_replica[session.replica])
         return paths
 
     def __enter__(self) -> "ClusterController":

@@ -33,6 +33,7 @@ parent can never leak a replica.
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import socket
@@ -40,6 +41,7 @@ import sys
 from typing import Any, Dict, Optional, Tuple
 
 from ..checkpoint import CheckpointError
+from ..obs import log_to_stderr
 from ..serve.engine import MiningService, SessionHandle, TenantPolicy
 from .protocol import error_response, ok_response, read_frame, write_frame
 
@@ -223,9 +225,11 @@ def serve_connection(stream: Any, service: MiningService) -> None:
 def main(argv: Optional[list] = None) -> int:
     """Child entrypoint: ``python -m repro.cluster.replica <fd>``.
 
-    The first frame must be ``{"op": "init", "service": {...}}`` naming
-    the engine's constructor arguments; everything after is the normal
-    operation stream.
+    The first frame must be ``{"op": "init", "service": {...},
+    "log_level": N}`` naming the engine's constructor arguments and the
+    parent's effective ``repro`` log level, at which the child logs to
+    stderr as the CLI does; everything after is the normal operation
+    stream.
     """
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -247,6 +251,7 @@ def main(argv: Optional[list] = None) -> int:
             )
             return 1
         try:
+            log_to_stderr(init.get("log_level", logging.WARNING))
             kwargs = dict(init.get("service") or {})
             kwargs["tenants"] = _policies(kwargs.get("tenants"))
             service = MiningService(**kwargs)

@@ -4,8 +4,8 @@ The :class:`~repro.cluster.controller.ClusterController` never touches a
 :class:`~repro.serve.engine.MiningService` directly any more — it drives
 a :class:`ReplicaTransport`, whose whole vocabulary is
 
-    submit / poll / wait / result / cancel / evict / resume / stats /
-    health / close
+    submit / poll / wait / result / cancel / evict / stats / health /
+    close
 
 with checkpoints crossing as **opaque RPCK bytes**
 (:class:`CheckpointPayload`).  Two interchangeable backends implement it:
@@ -37,6 +37,7 @@ the single-engine run bit for bit.
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import socket
@@ -47,7 +48,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..checkpoint import CheckpointError, loads_checkpoint
+from ..checkpoint import CheckpointError
 from ..core.session import SAPSessionResult
 from ..serve.engine import (
     AdmissionError,
@@ -139,10 +140,6 @@ class ReplicaTransport:
         before reaching a boundary."""
         raise NotImplementedError
 
-    def resume(self, checkpoint_path: str, checkpoint_every: Optional[int] = None):
-        """Re-admit a session from a checkpoint file on this replica."""
-        raise NotImplementedError
-
     def stats(self) -> ServiceStats:
         """The replica's service snapshot (last known one if it is down)."""
         raise NotImplementedError
@@ -198,13 +195,6 @@ class InProcessReplica(ReplicaTransport):
     ) -> Optional[CheckpointPayload]:
         path = self.service.evict(session_id, timeout=timeout)
         return None if path is None else CheckpointPayload(path)
-
-    def resume(
-        self, checkpoint_path: str, checkpoint_every: Optional[int] = None
-    ) -> SessionHandle:
-        return self.service.resume(
-            checkpoint_path, checkpoint_every=checkpoint_every
-        )
 
     def stats(self) -> ServiceStats:
         return self.service.stats()
@@ -326,8 +316,15 @@ class RemoteHandle:
         self._wall_seconds = value["wall_seconds"]
         status = value["status"]
         if status in _SETTLED:
-            self._settled = status
+            self._settle(status)
         return status
+
+    def _settle(self, status: str) -> None:
+        self._settled = status
+        # The replica's cached snapshot now counts this end: should the
+        # replica die, recovery leaves a settled hop alone, and the
+        # snapshot is what the cluster sums for it.
+        self._replica._refresh_stats()
 
     def done(self) -> bool:
         """Whether the session has settled (any terminal status)."""
@@ -358,7 +355,7 @@ class RemoteHandle:
                 return "lost"
             status = value["status"]
             if status in _SETTLED:
-                self._settled = status
+                self._settle(status)
                 return status
             if remaining is not None and remaining <= chunk:
                 return status
@@ -502,7 +499,12 @@ class ProcessReplica(ReplicaTransport):
         self._stream = _CountingSocket(parent_sock, self)
         parent_sock.settimeout(INIT_TIMEOUT_S)
         try:
-            value = self._rpc("init", service=dict(service_kwargs))
+            # The child logs like this process: same handler, same level.
+            value = self._rpc(
+                "init",
+                service=dict(service_kwargs),
+                log_level=logging.getLogger("repro").getEffectiveLevel(),
+            )
         except BaseException:
             _kill(self._process)
             parent_sock.close()
@@ -685,27 +687,6 @@ class ProcessReplica(ReplicaTransport):
         if value["status"] != "evicted":
             return None
         return CheckpointPayload(path=value["path"], data=value["data"])
-
-    def resume(
-        self, checkpoint_path: str, checkpoint_every: Optional[int] = None
-    ) -> RemoteHandle:
-        data = CheckpointPayload(checkpoint_path).read()
-        ckpt = loads_checkpoint(data, origin=f"{checkpoint_path!r}")
-        mapping = ckpt.spec
-        if mapping is None:
-            raise CheckpointError(
-                f"checkpoint {checkpoint_path!r} carries no session spec; it "
-                f"was not written by a serving engine and cannot be re-admitted"
-            )
-        spec = SessionSpec.from_mapping(mapping)
-        value = self._rpc(
-            "submit", resume=data, checkpoint_every=checkpoint_every
-        )
-        handle = RemoteHandle(
-            self, spec, value["session_id"], migratable=True
-        )
-        self._refresh_stats()
-        return handle
 
     def stats(self) -> ServiceStats:
         if self._dead:

@@ -35,6 +35,8 @@ deferred to call time.
 
 from __future__ import annotations
 
+import logging
+import sys
 from typing import Any, Optional
 
 from .collect import (
@@ -77,6 +79,7 @@ from .tracing import (
 
 __all__ = [
     "Telemetry",
+    "log_to_stderr",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -175,3 +178,15 @@ class Telemetry:
     def __repr__(self) -> str:  # keep dataclass reprs holding one readable
         state = "on" if self.enabled else "off"
         return f"Telemetry({state})"
+
+
+def log_to_stderr(level: int) -> None:
+    """Point the ``repro.*`` logger hierarchy at stderr, at ``level``, as
+    ``LEVEL logger: message`` lines: the CLI's output, and a process
+    replica's at its parent's level."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("repro")
+    logger.handlers[:] = [handler]
+    logger.setLevel(level)
+    logger.propagate = False

@@ -784,64 +784,67 @@ class MiningService:
         except SessionEvicted as exc:
             # A requested checkpoint-and-abandon, not a failure: the slot
             # frees exactly like a completion and the handle's "result" is
-            # the SessionEvicted naming the file to resume from.  Same
-            # ordering contract as the paths below.
+            # the SessionEvicted naming the file to resume from.
             if drive_span is not None:
                 drive_span.end(outcome="evicted")
             _LOG.info("session %d evicted: %s", handle.session_id, exc)
-            handle.finished_at = time.perf_counter()
-            with self._lock:
-                stats = self._ledger(handle.spec.tenant).stats
-                stats.active -= 1
-                stats.evicted += 1
-                self._active -= 1
             if tel is not None:
                 tel.metrics.counter(
                     "repro_checkpoints_total",
                     "Checkpoint operations by outcome.",
                     outcome="evicted",
                 ).inc()
-            handle._future.set_exception(exc)
-            with self._lock:
-                self._settle(handle)
+            self._finish(handle, "evicted", exc=exc)
             return
         except BaseException as exc:
             if drive_span is not None:
                 drive_span.end(error=type(exc).__name__)
             _LOG.warning("session %d failed: %s", handle.session_id, exc)
-            handle.finished_at = time.perf_counter()
-            # Ordering contract: account first (so a caller who observed the
-            # result sees consistent stats), then settle the future, then
-            # evict — drain() stops waiting on a handle once it leaves
-            # _handles, so eviction must never precede the result becoming
-            # observable.
-            with self._lock:
-                stats = self._ledger(handle.spec.tenant).stats
-                stats.active -= 1
-                stats.failed += 1
-                self._active -= 1
-            handle._future.set_exception(exc)
-            with self._lock:
-                self._settle(handle)
+            self._finish(handle, "failed", exc=exc)
             return
         if drive_span is not None:
             drive_span.end()
+        self._finish(handle, "completed", result=result)
+
+    def _finish(
+        self,
+        handle: SessionHandle,
+        outcome: str,
+        result: Optional[SessionResult] = None,
+        exc: Optional[BaseException] = None,
+    ) -> None:
+        """Account one finished session, settle its future, then forget it.
+
+        Ordering contract: account first (so a caller who observed the
+        result sees consistent stats), then settle the future, then
+        forget the handle — drain() stops waiting on a handle once it
+        leaves _handles, so that must never precede the result becoming
+        observable.  The driver that settles a closed service's last
+        active session closes the pool again first: a session still
+        running after close(wait=False) rebuilt it on its next dispatch.
+        """
         handle.finished_at = time.perf_counter()
-        records, messages, nbytes = _result_traffic(result)
-        # Same ordering contract as the failure path above.
         with self._lock:
             stats = self._ledger(handle.spec.tenant).stats
             stats.active -= 1
-            stats.completed += 1
-            stats.records += records
-            stats.messages += messages
-            stats.bytes += nbytes
-            stats.busy_seconds += handle.wall_seconds
-            self._records += records
-            self._messages += messages
-            self._bytes += nbytes
+            setattr(stats, outcome, getattr(stats, outcome) + 1)
+            if result is not None:
+                records, messages, nbytes = _result_traffic(result)
+                stats.records += records
+                stats.messages += messages
+                stats.bytes += nbytes
+                stats.busy_seconds += handle.wall_seconds
+                self._records += records
+                self._messages += messages
+                self._bytes += nbytes
             self._active -= 1
-        handle._future.set_result(result)
+            idle_after_close = self._closed and self._active == 0
+        if idle_after_close:
+            self.pool.close()
+        if exc is None:
+            handle._future.set_result(result)
+        else:
+            handle._future.set_exception(exc)
         with self._lock:
             self._settle(handle)
 

@@ -271,7 +271,7 @@ class SessionSpec:
                 else:
                     window, party, trust = change
                     changes.append(
-                        TrustChange(window=int(window), party=int(party), trust=float(trust))
+                        TrustChange(window=window, party=party, trust=trust)
                     )
         except (TypeError, ValueError) as exc:
             raise ValueError(

@@ -60,6 +60,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,8 +128,12 @@ class TrustChange:
     trust: float
 
     def __post_init__(self) -> None:
-        if self.window < 0:
-            raise ValueError("window must be >= 0")
+        for name in ("window", "party"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 < self.trust <= 1.0:
             raise ValueError("trust must be in (0, 1]")
 

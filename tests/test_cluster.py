@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro.cluster import (
+    CheckpointPayload,
     ClusterController,
     ClusterError,
     hash_placement,
@@ -29,6 +30,7 @@ from repro.serve import (
     SessionSpec,
     TenantPolicy,
 )
+from repro.obs import Telemetry
 from repro.streaming import TrustChange
 
 
@@ -425,7 +427,9 @@ def test_close_park_then_resume_in_new_cluster_bit_identical(tmp_path):
     with ClusterController(
         replicas=2, checkpoint_dir=str(tmp_path)
     ) as fresh:
-        handle = fresh.replicas[0].resume(session.parked_path)
+        handle = fresh.replicas[0].submit(
+            spec, resume=CheckpointPayload(session.parked_path)
+        )
         result = handle.result(timeout=120)
     assert _fingerprint(result) == _fingerprint(unbroken)
 
@@ -467,4 +471,132 @@ def test_stats_to_dict_and_summary_surface_everything(tmp_path):
     assert "placement=tenant" in text
     assert "replica 0" in text and "replica 1" in text
     assert stats.sessions_per_second > 0
+    _assert_conserved(stats)
+
+
+# ----------------------------------------------------------------------
+# one handoff path: every move claims, evicts, then lands or parks
+# ----------------------------------------------------------------------
+def test_lapsed_migrate_wait_parks_the_session_then_resume_finishes_it(tmp_path):
+    """A migrate whose wait lapses raises, and the session parks at its
+    next boundary instead of being stranded mid-eviction."""
+    spec = _stream_spec(seed=9, windows=60)
+    unbroken = _single_engine(spec)
+    with ClusterController(
+        replicas=2, max_inflight=1, checkpoint_dir=str(tmp_path)
+    ) as cluster:
+        # Queued behind an occupier, the session cannot reach a boundary
+        # within the migrate's wait.
+        occupier = cluster.submit(_stream_spec(seed=1, windows=60), replica=0)
+        session = cluster.submit(spec, checkpoint_every=2, replica=0)
+        with pytest.raises(ClusterError, match="parks at its next boundary"):
+            cluster.migrate(session.session_id, 1, timeout=0.001)
+        assert session.wait(timeout=120) == "parked"
+        assert cluster.resume(session.session_id) in (0, 1)
+        result = session.result(timeout=120)
+        occupier.result(timeout=120)
+        stats = cluster.stats()
+    assert _fingerprint(result) == _fingerprint(unbroken)
+    assert session.migrations == stats.migrations == 1
+    assert stats.evicted == 1
+    _assert_conserved(stats)
+
+
+def test_lapsed_drain_wait_lists_the_session_as_parked(tmp_path):
+    spec = _stream_spec(seed=9, windows=60)
+    unbroken = _single_engine(spec)
+    with ClusterController(
+        replicas=2, max_inflight=1, checkpoint_dir=str(tmp_path)
+    ) as cluster:
+        occupier = cluster.submit(_stream_spec(seed=1, windows=60), replica=0)
+        session = cluster.submit(spec, checkpoint_every=2, replica=0)
+        dispositions = dict(cluster.drain(0, timeout=0.001))
+        assert dispositions[session.session_id] is None
+        assert session.wait(timeout=120) == "parked"
+        assert cluster.resume(session.session_id) == 1  # 0 is draining
+        result = session.result(timeout=120)
+        if occupier.wait(timeout=120) == "parked":
+            cluster.resume(occupier.session_id)
+        occupier.result(timeout=120)
+        stats = cluster.stats()
+    assert _fingerprint(result) == _fingerprint(unbroken)
+    _assert_conserved(stats)
+
+
+def test_park_then_resume_counts_one_hop(tmp_path):
+    with ClusterController(
+        replicas=2, checkpoint_dir=str(tmp_path)
+    ) as cluster:
+        session = cluster.submit(
+            _stream_spec(windows=100), checkpoint_every=2, replica=0
+        )
+        assert cluster.drain(0, resume=False) == [(session.session_id, None)]
+        assert cluster.resume(session.session_id) == 1
+        session.result(timeout=120)
+        stats = cluster.stats()
+    assert session.migrations == stats.migrations == 1
+    _assert_conserved(stats)
+
+
+def test_drain_and_resume_try_the_whole_placement_order(tmp_path):
+    """The policy's pick first, then every other eligible replica: a full
+    pick does not park a session another replica can take."""
+
+    def always_replica_1(spec, session_id, eligible, cluster):
+        return 1
+
+    with ClusterController(
+        replicas=3, placement=always_replica_1, max_inflight=1,
+        queue_limit=0, checkpoint_dir=str(tmp_path),
+    ) as cluster:
+        occupier = cluster.submit(
+            _stream_spec(seed=1, tenant="globex", windows=5000), replica=1
+        )
+        parked = cluster.submit(
+            _stream_spec(seed=2, windows=40), checkpoint_every=2, replica=0
+        )
+        assert cluster.drain(0, resume=False) == [(parked.session_id, None)]
+        assert cluster.resume(parked.session_id) == 2
+        assert parked.result(timeout=120).records_processed == 40 * 32
+        cluster.undrain(0)
+        moved = cluster.submit(
+            _stream_spec(seed=3, windows=40), checkpoint_every=2, replica=0
+        )
+        assert cluster.drain(0) == [(moved.session_id, 2)]
+        assert moved.result(timeout=120).records_processed == 40 * 32
+        assert occupier.poll() == "running"
+        cluster.close(park=True)
+
+
+def test_handoff_spans_and_the_resumed_hop_counter(tmp_path, monkeypatch):
+    telemetry = Telemetry.in_memory()
+    spec = _stream_spec(seed=9, windows=100)
+    unbroken = _single_engine(spec)
+    with ClusterController(
+        replicas=2, telemetry=telemetry, checkpoint_dir=str(tmp_path)
+    ) as cluster:
+        session = cluster.submit(spec, checkpoint_every=2, replica=0)
+
+        def refuse(*args, **kwargs):
+            raise AdmissionError("replica at capacity")
+
+        for replica in cluster.replicas:
+            monkeypatch.setattr(replica, "submit", refuse)
+        with pytest.raises(ClusterError, match="neither replica 1 nor 0"):
+            cluster.migrate(session.session_id, 1)
+        monkeypatch.undo()
+        assert session.poll() == "parked"
+        landed = cluster.resume(session.session_id)
+        assert cluster.drain(landed) == [(session.session_id, 1 - landed)]
+        result = session.result(timeout=120)
+        stats = cluster.stats()
+    spans = {span["name"]: span["attrs"] for span in telemetry.tracer.sink.spans}
+    assert spans["migrate"]["error"] == "ClusterError"
+    assert spans["drain"]["moved"] == 1
+    counts = telemetry.metrics.snapshot()["repro_cluster_migrations_total"]
+    assert counts["values"] == {
+        '{outcome="resumed"}': 1.0, '{outcome="drained"}': 1.0,
+    }
+    assert _fingerprint(result) == _fingerprint(unbroken)
+    assert session.migrations == stats.migrations == 2
     _assert_conserved(stats)

@@ -7,6 +7,7 @@ replica that came up is closed, every child is reaped, and the first
 failure by index is raised from the constructor.
 """
 
+import logging
 import os
 import signal
 import subprocess
@@ -20,6 +21,7 @@ from repro.cluster import ClusterController, ClusterError
 from repro.cluster import controller as controller_module
 from repro.cluster import transport
 from repro.cluster.protocol import TransportError
+from repro.serve import SessionSpec
 
 
 class _FakeReplica:
@@ -205,4 +207,36 @@ def test_bad_heartbeat_interval_refused_before_any_spawn(monkeypatch, interval):
     with pytest.raises(ClusterError, match="heartbeat_interval"):
         ClusterController(
             replicas=2, backend="process", heartbeat_interval=interval
+        )
+
+
+@pytest.mark.parametrize("level", ["ERROR", "WARNING"])
+def test_replica_child_logs_at_its_parents_level(capfd, level):
+    """A replica child installs the CLI's stderr handler at the level of
+    its parent's ``repro`` logger, so its engine's warnings print with
+    their level and logger name, and ``-q`` silences them."""
+    logger = logging.getLogger("repro")
+    previous = logger.level
+    logger.setLevel(level)
+    try:
+        replica = transport.ProcessReplica(0, {"max_inflight": 1})
+    finally:
+        logger.setLevel(previous)
+    try:
+        # Party 5 of three: the spec is valid, the run fails.
+        spec = SessionSpec(
+            kind="stream", dataset="wine", k=3, windows=4, window_size=32,
+            compute_privacy=False,
+            trust_changes=({"window": 1, "party": 5, "trust": 0.5},),
+        )
+        assert replica.submit(spec).wait(timeout=60) == "failed"
+    finally:
+        replica.close()
+    lines = capfd.readouterr().err.splitlines()
+    failed = [line for line in lines if "session 0 failed" in line]
+    if level == "ERROR":
+        assert failed == []
+    else:
+        assert failed and failed[0].startswith(
+            "WARNING repro.serve.engine: session 0 failed"
         )

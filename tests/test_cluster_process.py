@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterController
+from repro.cluster import ClusterController, ClusterError
 from repro.serve import MiningService, SessionSpec
 
 
@@ -190,3 +190,72 @@ def test_park_from_process_cluster_resumes_on_single_engine(tmp_path):
         handle = service.resume(parked[0])
         result = handle.result(timeout=120)
     assert _fingerprint(result) == unbroken
+
+
+# ----------------------------------------------------------------------
+# one handoff path, across the wire
+# ----------------------------------------------------------------------
+def test_lapsed_wire_migrate_wait_parks_then_resume_finishes_it(tmp_path):
+    spec = _stream_spec(seed=9, windows=60)
+    unbroken = _fingerprint(_single_engine(spec))
+    with ClusterController(
+        replicas=2, backend="process", max_inflight=1,
+        checkpoint_dir=str(tmp_path),
+    ) as cluster:
+        # Queued behind an occupier, the session cannot reach a boundary
+        # within the migrate's wait.
+        occupier = cluster.submit(_stream_spec(seed=1, windows=60), replica=0)
+        session = cluster.submit(spec, checkpoint_every=2, replica=0)
+        with pytest.raises(ClusterError, match="parks at its next boundary"):
+            cluster.migrate(session.session_id, 1, timeout=0.001)
+        assert session.wait(timeout=120) == "parked"
+        assert cluster.resume(session.session_id) in (0, 1)
+        result = session.result(timeout=120)
+        occupier.result(timeout=120)
+        stats = cluster.stats()
+    assert _fingerprint(result) == unbroken
+    assert session.migrations == stats.migrations == 1
+    _assert_conserved(stats)
+
+
+def test_sigkill_does_not_rerun_a_session_whose_result_was_read(tmp_path):
+    long_spec = _stream_spec(seed=42, windows=120)
+    unbroken = _fingerprint(_single_engine(long_spec))
+    with ClusterController(
+        replicas=2, backend="process", checkpoint_dir=str(tmp_path)
+    ) as cluster:
+        short = cluster.submit(
+            _stream_spec(seed=41, windows=2), checkpoint_every=4, replica=0
+        )
+        long = cluster.submit(long_spec, checkpoint_every=4, replica=0)
+        short.result(timeout=120)
+        os.kill(cluster.replicas[0].pid, signal.SIGKILL)
+        result = long.result(timeout=120)
+        stats = cluster.stats()
+    assert _fingerprint(result) == unbroken
+    assert stats.completed == 2
+    assert short.migrations == 0 and long.migrations == 1
+    assert stats.recoveries == 1
+    _assert_conserved(stats)
+
+
+def test_rebalance_and_drain_over_the_wire_bit_identical(tmp_path):
+    specs = [_stream_spec(seed=seed, windows=100) for seed in (51, 52)]
+    unbroken = [_fingerprint(_single_engine(spec)) for spec in specs]
+    with ClusterController(
+        replicas=2, backend="process", checkpoint_dir=str(tmp_path)
+    ) as cluster:
+        sessions = [
+            cluster.submit(spec, checkpoint_every=4, replica=0)
+            for spec in specs
+        ]
+        moves = cluster.rebalance()
+        assert [(src, dst) for _, src, dst in moves] == [(0, 1)]
+        (stayed,) = [s for s in sessions if s.session_id != moves[0][0]]
+        assert cluster.drain(0) == [(stayed.session_id, 1)]
+        results = [session.result(timeout=120) for session in sessions]
+        stats = cluster.stats()
+    assert [_fingerprint(result) for result in results] == unbroken
+    assert stats.rebalances == 1
+    assert stats.migrations == 2 == sum(s.migrations for s in sessions)
+    _assert_conserved(stats)

@@ -426,3 +426,23 @@ def test_submit_accepts_raw_mappings():
     legacy = run_sap_session(load_dataset("iris"), SAPConfig(k=3, seed=7))
     assert result.accuracy_perturbed == legacy.accuracy_perturbed
     assert result.bytes_sent == legacy.bytes_sent
+
+
+def test_pool_rebuilt_after_close_without_waiting_is_closed_at_settle():
+    """A session still running at close(wait=False) rebuilds the pool on
+    its next dispatch; settling the last session closes it again."""
+    spec = SessionSpec(
+        kind="stream", dataset="wine", windows=20, window_size=64, k=3,
+        compute_privacy=False, shards=2,
+    )
+    source = GatedSource(spec.make_source())
+    service = MiningService(max_inflight=1, shard_workers=2)
+    handle = service.submit(spec, source=source)
+    deadline = time.monotonic() + 30
+    while handle.poll() != "running" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    service.close(wait=False)
+    assert service.pool.inner._pool is None
+    source.gate.set()
+    assert handle.wait(timeout=120) == "completed"
+    assert service.pool.inner._pool is None

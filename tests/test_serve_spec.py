@@ -50,6 +50,15 @@ from repro.streaming import StreamConfig, TrustChange, make_stream
         ({"trust_changes": [5]}, "trust_changes"),
         ({"classifier_params": 5}, "classifier_params"),
         ({"detector_params": 5}, "detector_params"),
+        ({"trust_changes": [{"window": 2.5, "party": 0, "trust": 0.5}]},
+         "trust_changes"),
+        ({"trust_changes": [{"window": 2, "party": 0.5, "trust": 0.5}]},
+         "trust_changes"),
+        ({"trust_changes": [(2.5, 0.7, 0.5)]}, "trust_changes"),
+        ({"trust_changes": [{"window": True, "party": 0, "trust": 0.5}]},
+         "trust_changes"),
+        ({"trust_changes": [{"window": 2, "party": -1, "trust": 0.5}]},
+         "trust_changes"),
     ],
 )
 def test_bad_field_raises_friendly_valueerror(overrides, needle):

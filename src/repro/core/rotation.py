@@ -43,12 +43,18 @@ def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def is_orthogonal(R: np.ndarray, atol: float = 1e-8) -> bool:
-    """Check ``R' R = I`` within tolerance."""
+    """Check ``R' R = I`` within tolerance.
+
+    Elementwise ``|R' R - I| <= atol + 1e-5 * I``: the test
+    ``np.allclose(R' R, I, atol=atol)`` makes, written out without its
+    per-call overhead.  As ``I`` is finite, the two agree on every input,
+    NaN and infinities included.
+    """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         return False
     identity = np.eye(R.shape[0])
-    return bool(np.allclose(R.T @ R, identity, atol=atol))
+    return bool((np.abs(R.T @ R - identity) <= atol + 1e-5 * identity).all())
 
 
 def swap_rows(R: np.ndarray, i: int, j: int) -> np.ndarray:

@@ -166,9 +166,13 @@ class DataPlane:
     """Persistent simnet network carrying the sharded session's data traffic.
 
     One instance lives for a whole streaming session (unlike the
-    per-epoch negotiation networks), so latency, bandwidth, and adversary
-    ledgers accumulate over the run exactly as they would on a long-lived
-    deployment.
+    per-epoch negotiation networks), so latency, bandwidth, and the
+    message and byte counters accumulate over the run exactly as they
+    would on a long-lived deployment.  Delivered messages do not: the
+    adversary ledger and the nodes' inboxes hold the traffic of the latest
+    :meth:`flush` only, which the next routed window drops, so a
+    session-long plane keeps one batch of messages rather than every batch
+    it carried.
     """
 
     def __init__(
@@ -205,6 +209,13 @@ class DataPlane:
         miner.  Providers adapt locally — they hold their own adaptors —
         so the wire carries target-space rows.
         """
+        if not self.network.simulator.pending_events:
+            # Nothing is in flight, so all the ledger and the inboxes hold
+            # was delivered and counted by an earlier flush.
+            self.network.ledger.wire.clear()
+            self.network.ledger.endpoint.clear()
+            for node in (*self.gates, *self.shards, self.sink):
+                node.inbox.clear()
         owner = self.plan.shard_of_window(window_index)
         for party, rows in enumerate(party_slices):
             if rows is None or rows.shape[0] == 0:

@@ -17,6 +17,7 @@ network's own generator, so runs remain reproducible under a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -55,8 +56,19 @@ class LatencyModel:
     jitter: float = 0.002
 
     def delay(self, nbytes: int, rng: np.random.Generator) -> float:
-        """Delivery delay for a message of ``nbytes`` serialized bytes."""
-        jitter = rng.uniform(0.0, self.jitter) if self.jitter > 0 else 0.0
+        """Delivery delay for a message of ``nbytes`` serialized bytes.
+
+        The jitter is ``self.jitter * rng.random()``, the value
+        ``rng.uniform(0.0, self.jitter)`` computes from the same draw;
+        an infinite bound raises ``OverflowError``, as ``uniform`` does.
+        """
+        jitter = self.jitter
+        if jitter > 0:
+            if jitter == math.inf:
+                raise OverflowError(f"latency jitter must be finite, got {jitter!r}")
+            jitter *= rng.random()
+        else:
+            jitter = 0.0
         return self.base_latency + nbytes / self.bandwidth + jitter
 
 

@@ -36,7 +36,8 @@ from .errors import TransportError
 
 __all__ = ["SessionKey", "Ciphertext", "encrypt", "decrypt", "derive_key"]
 
-_NONCE_BYTES = 16
+#: a nonce is two 64-bit generator outputs, laid out little-endian
+_NONCE_WORDS = np.dtype("<u8")
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,13 @@ def encrypt(key: SessionKey, plaintext: bytes, rng: np.random.Generator) -> Ciph
 
     The nonce is drawn from the caller's generator so protocol runs stay
     deterministic under a fixed seed while distinct messages still get
-    distinct nonces with overwhelming probability.
+    distinct nonces with overwhelming probability.  It is the generator's
+    next two 64-bit outputs, little-endian: the bytes ``rng.bytes(16)``
+    gives on numpy's default PCG64 whenever no 32-bit half is buffered,
+    which holds for the network's generator (it only draws whole outputs),
+    without ``bytes``' trip through the bounded-integer sampler.
     """
-    nonce = rng.bytes(_NONCE_BYTES)
+    nonce = rng.bit_generator.random_raw(2).astype(_NONCE_WORDS, copy=False).tobytes()
     stream = _keystream(key, nonce, len(plaintext))
     body = _xor(plaintext, stream)
     tag = hmac.new(key.mac_key, nonce + body, hashlib.sha256).digest()

@@ -49,6 +49,7 @@ from typing import (
     Callable,
     Iterable,
     Iterator,
+    List,
     NamedTuple,
     Optional,
     Sequence,
@@ -151,6 +152,57 @@ class RecordChunk:
         )
 
 
+#: the low half of a 64-bit generator output, and the ``advance`` that
+#: steps a PCG64 generator back by one output (its period is ``2**128``)
+_LOW_HALF = 0xFFFF_FFFF
+_BACK_ONE = (1 << 128) - 1
+
+
+def _rows_and_gaps(
+    rng: np.random.Generator, n_rows: int, scales: Sequence[float]
+) -> Tuple[List[int], List[float]]:
+    """Per scale, ``rng.integers(n_rows)`` then ``rng.exponential(scale)``.
+
+    Returns that per-record loop's rows and gaps and leaves ``rng``
+    (numpy's default PCG64) where the loop would, with about half its
+    generator calls.  For ``1 < n < 2**32``, ``integers(n)`` is Lemire's
+    bounded draw over 32-bit halves: a fresh 64-bit output gives the low
+    half and keeps the high half for the next 32-bit request, which
+    ``exponential`` (drawing whole outputs) leaves alone.  So two records
+    share one ``random_raw()`` word.  The loop's own calls draw a record
+    wherever that does not hold: a half already buffered, a half Lemire
+    rejects (after stepping the word back), an odd last record, and pools
+    of one row (``integers(1)`` draws nothing) or of ``2**32`` rows or more.
+    """
+    integers, exponential = rng.integers, rng.exponential
+    bits = rng.bit_generator
+    raw = bits.random_raw
+    paired = 1 < n_rows < 1 << 32
+    # Lemire rejects a half ``u`` when ``u * n_rows`` mod 2**32 is below this.
+    threshold = (1 << 32) % n_rows
+    rows: List[int] = []
+    gaps: List[float] = []
+    i, count = 0, len(scales)
+    while i < count:
+        if paired and not bits.state["has_uint32"]:
+            while i + 1 < count:
+                word = raw()
+                low = (word & _LOW_HALF) * n_rows
+                high = (word >> 32) * n_rows
+                if (low & _LOW_HALF) < threshold or (high & _LOW_HALF) < threshold:
+                    bits.advance(_BACK_ONE)
+                    break
+                rows += low >> 32, high >> 32
+                gaps += exponential(scales[i]), exponential(scales[i + 1])
+                i += 2
+            if i == count:
+                break
+        rows.append(int(integers(n_rows)))
+        gaps.append(exponential(scales[i]))
+        i += 1
+    return rows, gaps
+
+
 @dataclass
 class StreamSource:
     """A deterministic, finite record stream over a pooled dataset.
@@ -246,19 +298,18 @@ class StreamSource:
         scale = np.where(scaled, 1.0 + 0.5 * self.magnitude / 1.5, 1.0)
         pool_mean = self.pool.X.mean(axis=0)
 
-        integers, exponential = rng.integers, rng.exponential
-        n_rows = self.pool.n_rows
         now = 0.0
         for start in range(0, self.n_records, _CHUNK):
             index = np.arange(start, min(start + _CHUNK, self.n_records))
-            # The row and gap draws share one generator, so they stay a
-            # per-record loop; the rest runs over the chunk with the same
-            # elementwise operations a per-record pass would make.
-            rows, times = [], []
-            for gap_scale in self._gap_scales(index).tolist():
-                rows.append(integers(n_rows))
-                now += float(exponential(gap_scale))
-                times.append(now)
+            # The row and gap draws share one generator, so they are drawn
+            # in record order; the rest runs over the chunk with the same
+            # elementwise operations a per-record pass would make (the
+            # cumulative sum adds the gaps one after another).
+            rows, gaps = _rows_and_gaps(
+                rng, self.pool.n_rows, self._gap_scales(index).tolist()
+            )
+            times = np.cumsum([now, *gaps])[1:]
+            now = float(times[-1])
             x = self.pool.X[rows].astype(float)
             weight = self._drift_weights(index)
             drifted = weight > 0.0
@@ -269,7 +320,7 @@ class StreamSource:
                     pool_mean + (x[drifted] - pool_mean) * effective_scale + w * shift
                 )
             labels = self.pool.y[rows].astype(np.int64)
-            yield RecordChunk(x, labels, np.array(times), index)
+            yield RecordChunk(x, labels, times, index)
 
 
 def chunked(records: Iterable[StreamRecord]) -> Iterator[RecordChunk]:

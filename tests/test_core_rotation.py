@@ -105,3 +105,71 @@ class TestHelpers:
             assert_rotation_shapes(R, 4)
         with pytest.raises(ValueError):
             assert_rotation_shapes(np.ones((3, 3)), 3)
+
+
+def allclose_reference(R, atol=1e-8):
+    """The ``np.allclose`` form :func:`is_orthogonal` writes out."""
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        return False
+    return bool(np.allclose(R.T @ R, np.eye(R.shape[0]), atol=atol))
+
+
+def ulps_around(value, count):
+    """``2 * count + 1`` consecutive floats centred on ``value``."""
+    below, above = [value], [value]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+class TestIsOrthogonalMatchesAllclose:
+    @pytest.mark.parametrize("d", [1, 2, 4, 13, 20])
+    def test_orthogonal_and_perturbed(self, d, rng):
+        R = haar_orthogonal(d, rng)
+        for candidate in (R, swap_rows(R, 0, d - 1), R + 1e-7, 1.00001 * R):
+            for atol in (0.0, 1e-8, 1e-6):
+                assert is_orthogonal(candidate, atol) == allclose_reference(
+                    candidate, atol
+                )
+        assert is_orthogonal(R)
+
+    @pytest.mark.parametrize("atol", [0.0, 1e-8, 1e-6])
+    def test_off_diagonal_entries_either_side_of_the_tolerance(self, atol):
+        # [[1, 0], [e, 1]]' [[1, 0], [e, 1]] has e off the diagonal exactly
+        # and 1 + e**2, which rounds to 1, on it.
+        outcomes = set()
+        for e in ulps_around(atol, 3) + [-x for x in ulps_around(atol, 3)]:
+            R = np.array([[1.0, 0.0], [e, 1.0]])
+            assert is_orthogonal(R, atol) == allclose_reference(R, atol)
+            outcomes.add(is_orthogonal(R, atol))
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("atol", [0.0, 1e-8, 1e-6])
+    def test_diagonal_entries_either_side_of_the_tolerance(self, atol):
+        # [[c]]' [[c]] is c * c; sweep c so that it crosses 1 +- (atol + 1e-5).
+        for side in (1.0, -1.0):
+            outcomes = set()
+            for c in ulps_around(np.sqrt(1.0 + side * (atol + 1e-5)), 8):
+                R = np.array([[c]])
+                assert is_orthogonal(R, atol) == allclose_reference(R, atol)
+                outcomes.add(is_orthogonal(R, atol))
+            assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_entries(self, bad, rng):
+        R = haar_orthogonal(4, rng)
+        for index in [(0, 0), (1, 2)]:
+            damaged = R.copy()
+            damaged[index] = bad
+            assert not is_orthogonal(damaged)
+            assert not allclose_reference(damaged)
+
+    def test_non_square_and_empty(self):
+        for shape in [(2, 3), (3, 2), (4,), (2, 2, 2)]:
+            assert not is_orthogonal(np.ones(shape))
+            assert not allclose_reference(np.ones(shape))
+        assert is_orthogonal(np.empty((0, 0))) == allclose_reference(np.empty((0, 0)))

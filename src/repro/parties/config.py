@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..checkpoint.codec import register
+from ..checks import require_choice, require_int, require_real
 from ..mining.base import Classifier
 from ..mining.bayes import GaussianNaiveBayes
 from ..mining.knn import KNNClassifier
@@ -165,27 +166,24 @@ class SAPConfig:
     def __post_init__(self) -> None:
         from ..sharding.backends import BACKENDS
 
-        if self.k < 2:
-            raise ValueError("SAP requires k >= 2 providers")
+        require_int("k", self.k, minimum=2)
+        require_real("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        require_real("test_fraction", self.test_fraction)
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-        if self.optimizer_rounds < 1:
-            raise ValueError("optimizer_rounds must be a positive integer")
-        if self.optimizer_local_steps < 1:
-            raise ValueError("optimizer_local_steps must be a positive integer")
-        if self.target_candidates < 1:
-            raise ValueError("target_candidates must be >= 1")
-        if self.round_timeout is not None and self.round_timeout <= 0:
-            raise ValueError("round_timeout must be positive when set")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.shard_backend not in BACKENDS:
             raise ValueError(
-                f"unknown shard backend {self.shard_backend!r}; available: "
-                f"{', '.join(BACKENDS)}"
+                f"test_fraction must be in (0, 1), got {self.test_fraction!r}"
             )
+        require_int("optimizer_rounds", self.optimizer_rounds)
+        require_int("optimizer_local_steps", self.optimizer_local_steps)
+        require_int("target_candidates", self.target_candidates)
+        if self.round_timeout is not None:
+            require_real("round_timeout", self.round_timeout)
+            if self.round_timeout <= 0:
+                raise ValueError("round_timeout must be positive when set")
+        require_int("shards", self.shards)
+        require_choice("shard backend", self.shard_backend, BACKENDS)
 
     def provider_name(self, index: int) -> str:
         """Canonical node name for provider ``index`` (coordinator is k-1)."""

@@ -22,30 +22,27 @@ what keeps the legacy wrappers bit-identical to the pre-redesign API.
 
 Every field is validated at construction with a friendly
 :class:`ValueError` (no deep tracebacks at run time), and specs are frozen
-— a submitted workload cannot be mutated behind the engine's back.
+— a submitted workload cannot be mutated behind the engine's back.  The
+protocol and stream knobs are :class:`~repro.parties.SAPConfig`'s and
+:class:`~repro.streaming.StreamConfig`'s fields under the same names, and
+those configs are what check them: a spec builds both at construction.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
+from ..checks import require_choice, require_int
 from ..datasets.partition import PartitionScheme
 from ..obs import Telemetry
 from ..datasets.schema import Dataset
 from ..parties.config import CLASSIFIER_NAMES, ClassifierSpec, SAPConfig
-from ..sharding.backends import BACKENDS
-from ..sharding.plan import SHARD_STRATEGIES
-from ..streaming.drift import DETECTOR_KINDS
-from ..streaming.ingest import LATE_POLICIES
-from ..streaming.normalizer import NORMALIZER_KINDS
 from ..streaming.online_miner import ONLINE_CLASSIFIERS
 from ..streaming.sources import STREAM_KINDS, StreamSource, make_stream
 from ..streaming.stream_session import StreamConfig, TrustChange
-from ..streaming.windows import WINDOW_KINDS
 
 __all__ = ["SESSION_KINDS", "SessionSpec"]
 
@@ -55,37 +52,27 @@ SESSION_KINDS = ("batch", "stream")
 #: the tenant whose seeds are *not* namespaced (legacy-compatible)
 DEFAULT_TENANT = "default"
 
+#: both kinds' classifier when a spec names none
+_DEFAULT_CLASSIFIER = "knn"
 
-def _require_positive(name: str, value: int, minimum: int = 1) -> None:
-    """Friendly shared check for integer knobs."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _require_real(name: str, value: Any) -> None:
-    """Friendly shared check for float knobs: a finite real number."""
-    if (
-        not isinstance(value, numbers.Real)
-        or isinstance(value, bool)
-        or not math.isfinite(value)
-    ):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-
-
-def _require_choice(name: str, value: str, choices: Sequence[str]) -> None:
-    """Friendly shared check for name-keyed knobs."""
-    if value not in choices:
-        raise ValueError(
-            f"unknown {name} {value!r}; available: {', '.join(choices)}"
-        )
+#: each kind's execution config, and the names of its fields — every one
+#: of them is a :class:`SessionSpec` field of the same name
+_CONFIGS = {"batch": SAPConfig, "stream": StreamConfig}
+_CONFIG_FIELDS = {
+    kind: tuple(f.name for f in fields(config)) for kind, config in _CONFIGS.items()
+}
 
 
 @dataclass(frozen=True)
 class SessionSpec:
     """One declarative mining-session description (batch or stream).
 
-    Attributes
-    ----------
+    Every field of :class:`~repro.parties.SAPConfig` and of
+    :class:`~repro.streaming.StreamConfig` is a spec field of the same
+    name, documented and checked there; both configs are built from the
+    spec at construction, so a knob of the other kind is checked too.
+    Where the spec differs from the configs:
+
     kind:
         ``"batch"`` (one-shot Space Adaptation Protocol run) or
         ``"stream"`` (windowed online run with drift re-adaptation).
@@ -99,47 +86,26 @@ class SessionSpec:
     label:
         Optional display name for reports; defaults to
         ``"<tenant>/<kind>:<dataset>"``.
-    k / noise_sigma / classifier / classifier_params / seed:
-        The protocol knobs shared by both kinds.  ``classifier`` is a
-        batch classifier name for ``kind="batch"`` and an online one for
-        ``kind="stream"``; ``None`` picks the kind's default (``"knn"``
-        for both).  ``k=None`` picks the kind's default (5 batch, 3
-        stream).
-    compute_privacy:
-        Run the privacy/attack-suite evaluation.  ``None`` picks the
-        kind's legacy default — ``False`` for batch
+    seed:
+        The raw master seed; the configs get :meth:`resolved_seed`.
+    k / classifier / classifier_params / compute_privacy:
+        ``None`` picks the kind's default: ``k`` 5 batch, 3 stream;
+        ``classifier`` ``"knn"`` for both (a batch classifier name for
+        ``kind="batch"``, an online one for ``kind="stream"``);
+        ``compute_privacy`` ``False`` for batch
         (:func:`~repro.core.session.run_sap_session`'s default) and
-        ``True`` for stream (:class:`~repro.streaming.StreamConfig`'s
-        default).
-    scheme / test_fraction / compute_privacy / optimize_locally /
-    optimizer_rounds / optimizer_local_steps / target_candidates /
-    round_timeout:
-        Batch-only knobs, mirroring :class:`repro.parties.SAPConfig`.
-    stream / windows / window_size / window_kind / window_step /
-    normalizer / detector / detector_params / readapt_cooldown /
-    trust_changes / n_records / watermark_delay / late_policy / skew:
-        Stream-only knobs, mirroring :class:`repro.streaming.StreamConfig`
-        plus the synthetic source scenario (``stream``) and length
+        ``True`` for stream.  ``classifier_params`` become the batch
+        :class:`~repro.parties.ClassifierSpec`'s params.
+    scheme:
+        Batch only: how the dataset is partitioned among the providers.
+    stream / windows / n_records:
+        Stream only: the synthetic source scenario and its length
         (``n_records``; defaults to ``windows x window_size``).
-        ``watermark_delay`` / ``late_policy`` / ``skew`` are the
-        event-time ingestion knobs: watermark lag before a window seals,
-        what to do with records that arrive after their window sealed,
-        and the bounded out-of-order transport simulation.
-    shards / shard_backend / shard_plan:
-        Shard policy.  ``shards`` is the *logical* shard count (affects
-        rounds and routing, never results); ``shard_backend`` is used when
-        the spec runs standalone — a :class:`~repro.serve.engine.MiningService`
-        substitutes its own shared pool, which is sound because results
-        are backend-independent by construction.
-    overlap:
-        Stream-only: pipeline rounds over the shard backend (dispatch
-        round ``N+1``'s transforms while round ``N``'s predictions are in
-        flight).  ``None`` — the default — enables overlap whenever the
-        executing backend can actually overlap work (thread/process
-        pools, including a serving engine's shared pool); ``False``
-        forces serial dispatch.  ``True`` requests it but is ignored on
-        an inline/serial backend, whose dispatches complete at submit
-        time anyway.  Never affects results, only scheduling.
+    shard_backend:
+        Used when the spec runs standalone — a
+        :class:`~repro.serve.engine.MiningService` substitutes its own
+        shared pool, which is sound because results are
+        backend-independent by construction.
     telemetry:
         Optional :class:`repro.obs.Telemetry` bundle carried into
         execution (spans + metrics).  Excluded from equality/repr and
@@ -190,7 +156,7 @@ class SessionSpec:
     )
 
     def __post_init__(self) -> None:
-        _require_choice("session kind", self.kind, SESSION_KINDS)
+        require_choice("session kind", self.kind, SESSION_KINDS)
         if not isinstance(self.tenant, str) or not self.tenant:
             raise ValueError(f"tenant must be a non-empty string, got {self.tenant!r}")
         if not isinstance(self.dataset, (str, Dataset)):
@@ -200,62 +166,21 @@ class SessionSpec:
             )
         if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.k is not None:
-            _require_positive("k", self.k, minimum=2)
-        _require_real("noise_sigma", self.noise_sigma)
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        _require_choice("partition scheme", self.scheme, [s.value for s in PartitionScheme])
-        _require_real("test_fraction", self.test_fraction)
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(
-                f"test_fraction must be in (0, 1), got {self.test_fraction!r}"
-            )
-        _require_positive("optimizer_rounds", self.optimizer_rounds)
-        _require_positive("optimizer_local_steps", self.optimizer_local_steps)
-        _require_positive("target_candidates", self.target_candidates)
-        if self.round_timeout is not None:
-            _require_real("round_timeout", self.round_timeout)
-            if self.round_timeout <= 0:
-                raise ValueError("round_timeout must be positive when set")
-        _require_choice("stream kind", self.stream, STREAM_KINDS)
-        _require_positive("windows", self.windows)
-        _require_positive("window_size", self.window_size, minimum=2)
-        _require_choice("window kind", self.window_kind, WINDOW_KINDS)
-        if self.window_step is not None:
-            _require_positive("window_step", self.window_step)
-        _require_choice("normalizer", self.normalizer, NORMALIZER_KINDS)
-        _require_choice("drift detector", self.detector, DETECTOR_KINDS)
-        _require_positive("readapt_cooldown", self.readapt_cooldown, minimum=0)
+        require_choice("partition scheme", self.scheme, [s.value for s in PartitionScheme])
+        require_choice("stream kind", self.stream, STREAM_KINDS)
+        require_int("windows", self.windows)
         if self.n_records is not None:
-            _require_positive("n_records", self.n_records)
-        _require_positive("watermark_delay", self.watermark_delay, minimum=0)
-        _require_choice("late policy", self.late_policy, LATE_POLICIES)
-        _require_positive("skew", self.skew, minimum=0)
-        _require_positive("shards", self.shards)
-        _require_choice("shard backend", self.shard_backend, BACKENDS)
-        _require_choice("shard plan", self.shard_plan, SHARD_STRATEGIES)
-        if self.overlap is not None and not isinstance(self.overlap, bool):
-            raise ValueError(
-                f"overlap must be true, false, or null (auto), got "
-                f"{self.overlap!r}"
-            )
-        if self.telemetry is not None and not isinstance(
-            self.telemetry, Telemetry
-        ):
-            raise ValueError(
-                f"telemetry must be a repro.obs.Telemetry bundle or None, "
-                f"got {type(self.telemetry).__name__}"
-            )
+            require_int("n_records", self.n_records)
         names = CLASSIFIER_NAMES if self.kind == "batch" else ONLINE_CLASSIFIERS
         if self.classifier is not None:
-            _require_choice(f"{self.kind} classifier", self.classifier, names)
+            require_choice(f"{self.kind} classifier", self.classifier, names)
         # Normalize freely-given mappings/pair-sequences to hashable tuples.
         for name in ("classifier_params", "detector_params"):
             value = getattr(self, name)
             pairs = value.items() if isinstance(value, Mapping) else value
             try:
                 normalized = tuple((key, item) for key, item in pairs)
+                dict(normalized)  # the configs key them by name
             except (TypeError, ValueError):
                 raise ValueError(
                     f"{name} must map parameter names to values, got {value!r}"
@@ -279,6 +204,10 @@ class SessionSpec:
                 f"{self.trust_changes!r}: {exc}"
             ) from None
         object.__setattr__(self, "trust_changes", tuple(changes))
+        # Every other field is a config's: building both configs checks
+        # it, whatever this spec's kind.
+        for kind in SESSION_KINDS:
+            self._config(kind)
 
     # ------------------------------------------------------------------
     # derived views
@@ -305,7 +234,7 @@ class SessionSpec:
     @property
     def effective_classifier(self) -> str:
         """Classifier name with the kind's default applied (``"knn"``)."""
-        return self.classifier if self.classifier is not None else "knn"
+        return self.classifier if self.classifier is not None else _DEFAULT_CLASSIFIER
 
     @property
     def effective_privacy(self) -> bool:
@@ -344,60 +273,45 @@ class SessionSpec:
     # ------------------------------------------------------------------
     # conversion to the execution-layer configs
     # ------------------------------------------------------------------
+    def _config(self, kind: str) -> Union[SAPConfig, StreamConfig]:
+        """``kind``'s config, each field copied from the spec field of its name.
+
+        Only ``k``, ``seed``, the classifier and ``compute_privacy`` take
+        the spec's effective values.  The other kind's config, built only
+        to check the knobs, gets that kind's default classifier.
+        """
+        values = {name: getattr(self, name) for name in _CONFIG_FIELDS[kind]}
+        values.update(k=self.effective_k, seed=self.resolved_seed())
+        classifier, params = _DEFAULT_CLASSIFIER, ()
+        if kind == self.kind:
+            classifier, params = self.effective_classifier, self.classifier_params
+        if kind == "batch":
+            values["classifier"] = ClassifierSpec(classifier, dict(params))
+        else:
+            values.update(
+                classifier=classifier,
+                classifier_params=params,
+                compute_privacy=self.effective_privacy,
+            )
+        return _CONFIGS[kind](**values)
+
+    def _require_kind(self, kind: str) -> None:
+        if self.kind != kind:
+            raise ValueError(f"spec {self.display_label!r} is not a {kind} session")
+
     def to_sap_config(self) -> SAPConfig:
         """The batch :class:`~repro.parties.SAPConfig` this spec describes."""
-        if self.kind != "batch":
-            raise ValueError(f"spec {self.display_label!r} is not a batch session")
-        return SAPConfig(
-            k=self.effective_k,
-            noise_sigma=self.noise_sigma,
-            classifier=ClassifierSpec(
-                self.effective_classifier, dict(self.classifier_params)
-            ),
-            test_fraction=self.test_fraction,
-            optimize_locally=self.optimize_locally,
-            optimizer_rounds=self.optimizer_rounds,
-            optimizer_local_steps=self.optimizer_local_steps,
-            target_candidates=self.target_candidates,
-            round_timeout=self.round_timeout,
-            shards=self.shards,
-            shard_backend=self.shard_backend,
-            seed=self.resolved_seed(),
-        )
+        self._require_kind("batch")
+        return self._config("batch")
 
     def to_stream_config(self) -> StreamConfig:
         """The :class:`~repro.streaming.StreamConfig` this spec describes."""
-        if self.kind != "stream":
-            raise ValueError(f"spec {self.display_label!r} is not a stream session")
-        return StreamConfig(
-            k=self.effective_k,
-            window_size=self.window_size,
-            window_kind=self.window_kind,
-            window_step=self.window_step,
-            noise_sigma=self.noise_sigma,
-            classifier=self.effective_classifier,
-            classifier_params=self.classifier_params,
-            normalizer=self.normalizer,
-            detector=self.detector,
-            detector_params=self.detector_params,
-            readapt_cooldown=self.readapt_cooldown,
-            trust_changes=self.trust_changes,
-            compute_privacy=self.effective_privacy,
-            shards=self.shards,
-            shard_backend=self.shard_backend,
-            shard_plan=self.shard_plan,
-            overlap=self.overlap,
-            watermark_delay=self.watermark_delay,
-            late_policy=self.late_policy,
-            skew=self.skew,
-            seed=self.resolved_seed(),
-            telemetry=self.telemetry,
-        )
+        self._require_kind("stream")
+        return self._config("stream")
 
     def make_source(self) -> StreamSource:
         """Build the stream source this spec describes (stream kind only)."""
-        if self.kind != "stream":
-            raise ValueError(f"spec {self.display_label!r} is not a stream session")
+        self._require_kind("stream")
         return make_stream(
             self.dataset,
             kind=self.stream,
@@ -418,26 +332,18 @@ class SessionSpec:
         tenant: str = DEFAULT_TENANT,
     ) -> "SessionSpec":
         """Lift a legacy ``(dataset, SAPConfig)`` pair into a spec."""
-        scheme = PartitionScheme(scheme) if isinstance(scheme, str) else scheme
+        values = {name: getattr(config, name) for name in _CONFIG_FIELDS["batch"]}
+        values.update(
+            classifier=config.classifier.name,
+            classifier_params=tuple(config.classifier.params.items()),
+        )
         return cls(
             kind="batch",
             dataset=dataset,
             tenant=tenant,
-            seed=config.seed,
-            k=config.k,
-            noise_sigma=config.noise_sigma,
-            classifier=config.classifier.name,
-            classifier_params=tuple(config.classifier.params.items()),
             compute_privacy=compute_privacy,
-            scheme=scheme.value,
-            test_fraction=config.test_fraction,
-            optimize_locally=config.optimize_locally,
-            optimizer_rounds=config.optimizer_rounds,
-            optimizer_local_steps=config.optimizer_local_steps,
-            target_candidates=config.target_candidates,
-            round_timeout=config.round_timeout,
-            shards=config.shards,
-            shard_backend=config.shard_backend,
+            scheme=PartitionScheme(scheme).value,
+            **values,
         )
 
     @classmethod
@@ -461,30 +367,9 @@ class SessionSpec:
             kind="stream",
             dataset=pool if pool is not None else getattr(source, "name", "stream"),
             tenant=tenant,
-            seed=config.seed,
-            k=config.k,
-            noise_sigma=config.noise_sigma,
-            classifier=config.classifier,
-            classifier_params=config.classifier_params,
-            compute_privacy=config.compute_privacy,
             stream=kind if kind in STREAM_KINDS else "stationary",
             n_records=getattr(source, "n_records", None),
-            window_size=config.window_size,
-            window_kind=config.window_kind,
-            window_step=config.window_step,
-            normalizer=config.normalizer,
-            detector=config.detector,
-            detector_params=config.detector_params,
-            readapt_cooldown=config.readapt_cooldown,
-            trust_changes=config.trust_changes,
-            shards=config.shards,
-            shard_backend=config.shard_backend,
-            shard_plan=config.shard_plan,
-            overlap=config.overlap,
-            watermark_delay=config.watermark_delay,
-            late_policy=config.late_policy,
-            skew=config.skew,
-            telemetry=config.telemetry,
+            **{name: getattr(config, name) for name in _CONFIG_FIELDS["stream"]},
         )
 
     # ------------------------------------------------------------------

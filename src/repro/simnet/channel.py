@@ -55,6 +55,19 @@ class LatencyModel:
     bandwidth: float = 12_500_000.0  # 100 Mbit/s
     jitter: float = 0.002
 
+    def __post_init__(self) -> None:
+        # NaN fails every comparison, so each check below refuses it.  An
+        # infinite jitter is left to ``delay``, which raises OverflowError
+        # as ``uniform`` does.
+        if not self.jitter >= 0:
+            raise ValueError(f"jitter must be >= 0, got {self.jitter!r}")
+        if not 0 <= self.base_latency < math.inf:
+            raise ValueError(
+                f"base_latency must be finite and >= 0, got {self.base_latency!r}"
+            )
+        if not self.bandwidth > 0:
+            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth!r}")
+
     def delay(self, nbytes: int, rng: np.random.Generator) -> float:
         """Delivery delay for a message of ``nbytes`` serialized bytes.
 

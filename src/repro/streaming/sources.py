@@ -59,6 +59,7 @@ from typing import (
 
 import numpy as np
 
+from ..checks import require_int
 from ..datasets.registry import load_dataset
 from ..datasets.schema import Dataset
 
@@ -349,11 +350,6 @@ def chunked(records: Iterable[StreamRecord]) -> Iterator[RecordChunk]:
         )
 
 
-def _check_skew(skew: int) -> None:
-    if not isinstance(skew, int) or isinstance(skew, bool) or skew < 0:
-        raise ValueError(f"skew must be an integer >= 0, got {skew!r}")
-
-
 def _deliver(
     tables: Iterable[Tuple[np.ndarray, Any]],
     skew: int,
@@ -421,7 +417,7 @@ def skewed(
     first, so any iterable of ``(x, y, time)``-style records works.
     :func:`skewed_chunks` delivers the same order over record chunks.
     """
-    _check_skew(skew)
+    require_int("skew", skew, minimum=0)
     if skew == 0:
         for index, record in enumerate(records):
             yield record if record.seq >= 0 else record._replace(seq=index)
@@ -452,7 +448,7 @@ def skewed_chunks(
     seed: int = 0,
 ) -> Iterator[RecordChunk]:
     """:func:`skewed` over record chunks: the same arrival order, in chunks."""
-    _check_skew(skew)
+    require_int("skew", skew, minimum=0)
     if skew == 0:
         yield from chunks
         return

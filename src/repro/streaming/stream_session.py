@@ -65,6 +65,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..checks import require_choice, require_int, require_real
 from ..checkpoint import (
     CheckpointError,
     Checkpointer,
@@ -97,7 +98,7 @@ from .ingest import LATE_POLICIES, IngestPlane, IngestState, IngestStats
 from .normalizer import NORMALIZER_KINDS, make_normalizer
 from .online_miner import ONLINE_CLASSIFIERS, make_online_classifier
 from .sources import StreamSource, chunked, make_stream, skewed, skewed_chunks
-from .windows import WINDOW_KINDS, Window
+from .windows import WINDOW_KINDS, EventWindowAssigner, Window
 
 __all__ = [
     "TrustChange",
@@ -250,73 +251,32 @@ class StreamConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("streaming SAP requires k >= 2 providers")
-        if self.window_size < 2:
-            raise ValueError("window_size must be >= 2")
-        if self.window_kind not in WINDOW_KINDS:
-            raise ValueError(
-                f"unknown window kind {self.window_kind!r}; available: "
-                f"{', '.join(WINDOW_KINDS)}"
-            )
-        if self.window_step is not None and self.window_step < 1:
-            raise ValueError("window_step must be a positive integer when set")
-        if self.classifier not in ONLINE_CLASSIFIERS:
-            raise ValueError(
-                f"unknown online classifier {self.classifier!r}; available: "
-                f"{', '.join(ONLINE_CLASSIFIERS)}"
-            )
-        if self.normalizer not in NORMALIZER_KINDS:
-            raise ValueError(
-                f"unknown normalizer {self.normalizer!r}; available: "
-                f"{', '.join(NORMALIZER_KINDS)}"
-            )
-        if self.detector not in DETECTOR_KINDS:
-            raise ValueError(
-                f"unknown drift detector {self.detector!r}; available: "
-                f"{', '.join(DETECTOR_KINDS)}"
-            )
+        require_int("k", self.k, minimum=2)
+        require_int("window_size", self.window_size, minimum=2)
+        require_choice("window kind", self.window_kind, WINDOW_KINDS)
+        if self.window_step is not None:
+            require_int("window_step", self.window_step)
+        # The ingest plane's own window geometry: a sliding step it would
+        # refuse at run time is refused here.
+        EventWindowAssigner(self.window_kind, self.window_size, self.window_step)
+        require_real("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.readapt_cooldown < 0:
-            raise ValueError("readapt_cooldown must be >= 0")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.shard_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown shard backend {self.shard_backend!r}; available: "
-                f"{', '.join(BACKENDS)}"
-            )
-        if self.shard_plan not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"unknown shard plan {self.shard_plan!r}; available: "
-                f"{', '.join(SHARD_STRATEGIES)}"
-            )
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        require_choice("online classifier", self.classifier, ONLINE_CLASSIFIERS)
+        require_choice("normalizer", self.normalizer, NORMALIZER_KINDS)
+        require_choice("drift detector", self.detector, DETECTOR_KINDS)
+        require_int("readapt_cooldown", self.readapt_cooldown, minimum=0)
+        require_int("shards", self.shards)
+        require_choice("shard backend", self.shard_backend, BACKENDS)
+        require_choice("shard plan", self.shard_plan, SHARD_STRATEGIES)
         if self.overlap is not None and not isinstance(self.overlap, bool):
             raise ValueError(
-                f"overlap must be True, False, or None (auto), got "
+                f"overlap must be true, false, or null (auto), got "
                 f"{self.overlap!r}"
             )
-        if (
-            not isinstance(self.watermark_delay, int)
-            or isinstance(self.watermark_delay, bool)
-            or self.watermark_delay < 0
-        ):
-            raise ValueError(
-                f"watermark_delay must be an integer >= 0, got "
-                f"{self.watermark_delay!r}"
-            )
-        if self.late_policy not in LATE_POLICIES:
-            raise ValueError(
-                f"unknown late policy {self.late_policy!r}; available: "
-                f"{', '.join(LATE_POLICIES)}"
-            )
-        if (
-            not isinstance(self.skew, int)
-            or isinstance(self.skew, bool)
-            or self.skew < 0
-        ):
-            raise ValueError(f"skew must be an integer >= 0, got {self.skew!r}")
+        require_int("watermark_delay", self.watermark_delay, minimum=0)
+        require_choice("late policy", self.late_policy, LATE_POLICIES)
+        require_int("skew", self.skew, minimum=0)
         if self.telemetry is not None and not isinstance(
             self.telemetry, Telemetry
         ):

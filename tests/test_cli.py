@@ -765,6 +765,25 @@ def test_malformed_workload_entry_exits_2_with_one_error_line(
     assert "Traceback" not in captured.err
 
 
+def test_oversized_sliding_step_exits_2_before_any_service(
+    capsys, tmp_path, monkeypatch
+):
+    def no_service(*args, **kwargs):
+        raise AssertionError("a service was built for a refused workload")
+
+    monkeypatch.setattr("repro.cli.MiningService", no_service)
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps([{
+        "kind": "stream", "window_kind": "sliding", "window_size": 4,
+        "window_step": 9,
+    }]))
+    code = main(["serve", "--workload", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "sliding step" in captured.err
+
+
 def _interrupt_workload(tmp_path):
     path = tmp_path / "workload.json"
     path.write_text(json.dumps([

@@ -1,7 +1,10 @@
 """SessionSpec: construction-time validation, conversions, JSON round trip."""
 
+from dataclasses import MISSING, fields
+
 import pytest
 
+from repro.obs import Telemetry
 from repro.parties.config import SAPConfig, ClassifierSpec
 from repro.serve import SessionSpec, execute_spec
 from repro.streaming import StreamConfig, TrustChange, make_stream
@@ -59,6 +62,9 @@ from repro.streaming import StreamConfig, TrustChange, make_stream
          "trust_changes"),
         ({"trust_changes": [{"window": 2, "party": -1, "trust": 0.5}]},
          "trust_changes"),
+        ({"kind": "stream", "window_kind": "sliding", "window_size": 4,
+          "window_step": 9}, "sliding step"),
+        ({"classifier_params": [[["n_neighbors"], 3]]}, "classifier_params"),
     ],
 )
 def test_bad_field_raises_friendly_valueerror(overrides, needle):
@@ -284,3 +290,73 @@ def test_display_label():
 def test_bad_knn_params_fail_the_session_instead_of_scoring(spec):
     with pytest.raises(ValueError, match="batch_size|n_neighbors"):
         execute_spec(spec)
+
+
+# ----------------------------------------------------------------------
+# one set of knobs: the spec carries the configs' fields by name
+# ----------------------------------------------------------------------
+def test_every_config_field_is_a_spec_field():
+    spec_fields = {f.name for f in fields(SessionSpec)}
+    for config in (SAPConfig, StreamConfig):
+        assert {f.name for f in fields(config)} <= spec_fields, config
+
+
+def _all_non_default(config):
+    for f in fields(config):
+        default = f.default_factory() if f.default is MISSING else f.default
+        assert getattr(config, f.name) != default, f.name
+    return config
+
+
+def test_a_stream_config_with_every_field_set_round_trips():
+    telemetry = Telemetry.disabled()
+    config = _all_non_default(StreamConfig(
+        k=4, window_size=32, window_kind="sliding", window_step=16,
+        noise_sigma=0.1, classifier="linear_svm",
+        classifier_params=(("epochs", 2),), normalizer="zscore",
+        detector="ks", detector_params=(("threshold", 0.5),),
+        readapt_cooldown=3,
+        trust_changes=(TrustChange(window=2, party=0, trust=0.5),),
+        compute_privacy=False, shards=2, shard_backend="thread",
+        shard_plan="hash", overlap=False, watermark_delay=2,
+        late_policy="readmit", skew=3, seed=9, telemetry=telemetry,
+    ))
+    source = make_stream("iris", kind="gradual", n_records=128, seed=9)
+    spec = SessionSpec.from_stream(source, config)
+    again = spec.to_stream_config()
+    assert again == config
+    assert again.telemetry is telemetry
+    assert SessionSpec.from_mapping(spec.to_mapping()).to_stream_config() == config
+
+
+def test_a_batch_config_with_every_field_set_round_trips():
+    config = _all_non_default(SAPConfig(
+        k=4, noise_sigma=0.1,
+        classifier=ClassifierSpec("linear_svm", {"epochs": 3}),
+        test_fraction=0.25, optimize_locally=True, optimizer_rounds=3,
+        optimizer_local_steps=2, target_candidates=2, round_timeout=9.5,
+        shards=2, shard_backend="thread", seed=11,
+    ))
+    spec = SessionSpec.from_batch("wine", config, scheme="class")
+    assert spec.to_sap_config() == config
+    assert SessionSpec.from_mapping(spec.to_mapping()).to_sap_config() == config
+
+
+@pytest.mark.parametrize(
+    "config,overrides,needle",
+    [
+        (StreamConfig, {"window_size": 2.5}, "window_size"),
+        (StreamConfig, {"shards": 2.0}, "shards"),
+        (StreamConfig, {"noise_sigma": float("nan")}, "noise_sigma"),
+        (StreamConfig, {"noise_sigma": "a"}, "noise_sigma"),
+        (StreamConfig, {"window_kind": "sliding", "window_size": 4,
+                        "window_step": 9}, "sliding step"),
+        (SAPConfig, {"k": 2.5}, "k must be"),
+        (SAPConfig, {"noise_sigma": float("inf")}, "noise_sigma"),
+        (SAPConfig, {"round_timeout": float("nan")}, "round_timeout"),
+        (SAPConfig, {"test_fraction": "x"}, "test_fraction"),
+    ],
+)
+def test_configs_refuse_a_bad_knob_by_name(config, overrides, needle):
+    with pytest.raises(ValueError, match=needle):
+        config(**overrides)

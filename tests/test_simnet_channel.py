@@ -162,3 +162,23 @@ def test_addresses_listing():
     assert network.node("a") is a
     with pytest.raises(UnknownAddressError):
         network.node("zzz")
+
+
+@pytest.mark.parametrize(
+    "overrides,name",
+    [
+        ({"jitter": float("nan")}, "jitter"),
+        ({"jitter": -1.0}, "jitter"),
+        ({"jitter": -np.inf}, "jitter"),
+        ({"base_latency": float("nan")}, "base_latency"),
+        ({"base_latency": -0.001}, "base_latency"),
+        ({"base_latency": float("inf")}, "base_latency"),
+        ({"bandwidth": float("nan")}, "bandwidth"),
+        ({"bandwidth": 0.0}, "bandwidth"),
+        ({"bandwidth": -1.0}, "bandwidth"),
+    ],
+)
+def test_latency_model_refuses_a_field_no_delay_can_use(overrides, name):
+    with pytest.raises(ValueError, match=name):
+        LatencyModel(**overrides)
+

@@ -33,7 +33,7 @@ import os
 import struct
 import threading
 import time
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from .codec import CodecError, decode, encode
@@ -98,7 +98,9 @@ class SessionCheckpoint:
     ``payload`` is the full decoded state mapping; ``fingerprint`` is the
     sha256 hex digest of its encoded bytes — the *format fingerprint*
     that names this exact state, printed by ``repro checkpoint inspect``
-    and stable across save/load round trips.
+    and stable across save/load round trips.  ``path`` names the file it
+    was loaded from or saved to (``None`` for one decoded from bytes); a
+    resumed session's log names it.
 
     The ``config``, ``source``, ``progress`` and ``state`` accessors
     check their part of the payload and raise :class:`CheckpointError`
@@ -108,6 +110,7 @@ class SessionCheckpoint:
     schema_version: int
     fingerprint: str
     payload: Dict[str, Any]
+    path: Optional[str] = field(default=None, compare=False)
 
     def _part(self, name: str, valid: Callable[[Any], bool], kind: str) -> Any:
         if name not in self.payload:
@@ -253,6 +256,7 @@ def save_checkpoint(path: str, payload: Dict[str, Any]) -> SessionCheckpoint:
         schema_version=SCHEMA_VERSION,
         fingerprint=digest.hex(),
         payload=payload,
+        path=path,
     )
 
 
@@ -263,7 +267,7 @@ def load_checkpoint(path: str) -> SessionCheckpoint:
             raw = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    return loads_checkpoint(raw, origin=f"{path!r}")
+    return replace(loads_checkpoint(raw, origin=f"{path!r}"), path=path)
 
 
 @dataclass

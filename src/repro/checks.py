@@ -12,7 +12,13 @@ import math
 import numbers
 from typing import Any, Sequence
 
-__all__ = ["require_choice", "require_int", "require_real"]
+__all__ = ["require_bool", "require_choice", "require_int", "require_real"]
+
+
+def require_bool(name: str, value: Any) -> None:
+    """Refuse anything but ``True`` or ``False``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 def require_int(name: str, value: Any, minimum: int = 1) -> None:

@@ -960,11 +960,13 @@ def _cmd_stream(args: argparse.Namespace) -> str:
     _require_non_negative("--watermark", args.watermark)
     telemetry = _telemetry_from_flags(args.trace_out, args.metrics_out)
     checkpointer = _stream_checkpointer(args, telemetry)
-    if args.resume_from:
+    ckpt = None
+    if args.resume_from is not None:
         # The checkpoint *is* the workload description: rebuild the source
         # and config it was taken under (only the telemetry attachment
         # comes from this invocation's flags), so no flag needs repeating
-        # and none can silently diverge.
+        # and none can silently diverge.  The session resumes from this
+        # loaded checkpoint rather than decoding the file again.
         ckpt = load_checkpoint(args.resume_from)
         src = ckpt.source
         config = ckpt.config
@@ -1007,7 +1009,7 @@ def _cmd_stream(args: argparse.Namespace) -> str:
             source,
             config,
             checkpointer=checkpointer,
-            resume_from=args.resume_from,
+            resume_from=ckpt,
         )
     except SessionEvicted as evicted:
         _finish_telemetry(telemetry, args.metrics_out)

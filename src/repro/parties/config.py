@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..checkpoint.codec import register
-from ..checks import require_choice, require_int, require_real
+from ..checks import require_bool, require_choice, require_int, require_real
 from ..mining.base import Classifier
 from ..mining.bayes import GaussianNaiveBayes
 from ..mining.knn import KNNClassifier
@@ -170,11 +170,16 @@ class SAPConfig:
         require_real("noise_sigma", self.noise_sigma)
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        if not isinstance(self.classifier, ClassifierSpec):
+            raise ValueError(
+                f"classifier must be a ClassifierSpec, got {self.classifier!r}"
+            )
         require_real("test_fraction", self.test_fraction)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(
                 f"test_fraction must be in (0, 1), got {self.test_fraction!r}"
             )
+        require_bool("optimize_locally", self.optimize_locally)
         require_int("optimizer_rounds", self.optimizer_rounds)
         require_int("optimizer_local_steps", self.optimizer_local_steps)
         require_int("target_candidates", self.target_candidates)

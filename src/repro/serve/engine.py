@@ -40,6 +40,7 @@ from typing import (
 from ..checkpoint import (
     CheckpointError,
     Checkpointer,
+    SessionCheckpoint,
     SessionEvicted,
     load_checkpoint,
     register,
@@ -155,7 +156,7 @@ def execute_spec(
     keep_network: bool = False,
     telemetry: Optional[Telemetry] = None,
     checkpointer: Optional[Checkpointer] = None,
-    resume_from: Optional[str] = None,
+    resume_from: Optional[Union[str, SessionCheckpoint]] = None,
 ) -> SessionResult:
     """Run one spec to completion and return its native result object.
 
@@ -182,8 +183,10 @@ def execute_spec(
     checkpointer / resume_from:
         Durable-session hooks (streaming only): a
         :class:`repro.checkpoint.Checkpointer` to save round-boundary
-        checkpoints into, and/or a checkpoint file to restore before
-        ingesting.  Batch sessions are one protocol round and finish or
+        checkpoints into, and/or a checkpoint to restore before
+        ingesting (a file's path, or the
+        :class:`~repro.checkpoint.SessionCheckpoint` loaded from it).
+        Batch sessions are one protocol round and finish or
         fail atomically, so checkpointing them is refused.
     """
     if spec.kind == "batch" and (checkpointer is not None or resume_from is not None):
@@ -274,9 +277,8 @@ class SessionHandle:
         self._queue_span: Optional[Any] = None
         self._future: "Future[SessionResult]" = Future()
         self._running = False
-        # Durable-session hooks, set by the owning service at submit time.
+        # Durable-session hook, set by the owning service at submit time.
         self._checkpointer: Optional[Checkpointer] = None
-        self._resume_from: Optional[str] = None
         # Set by the owning service; lets cancel() release the admission
         # slot immediately instead of when a driver reaches the dead item.
         self._on_cancel = None
@@ -671,7 +673,7 @@ class MiningService:
         spec: Union[SessionSpec, Mapping[str, Any]],
         dataset: Optional[Dataset] = None,
         source: Optional[StreamSource] = None,
-        resume_from: Optional[str] = None,
+        resume_from: Optional[Union[str, SessionCheckpoint]] = None,
         checkpoint_every: Optional[int] = None,
     ) -> SessionHandle:
         """Admit one spec and schedule it; returns its :class:`SessionHandle`.
@@ -685,8 +687,9 @@ class MiningService:
         :class:`~repro.checkpoint.Checkpointer` (saving every
         ``checkpoint_every`` windows; ``None`` saves only on eviction) and
         become :meth:`evict`-able; ``resume_from`` restores one from a
-        checkpoint file — re-entering admission control like any new
-        session.
+        checkpoint file (its path or its loaded
+        :class:`~repro.checkpoint.SessionCheckpoint`) — re-entering
+        admission control like any new session.
         """
         if not isinstance(spec, SessionSpec):
             spec = SessionSpec.from_mapping(spec)
@@ -714,7 +717,6 @@ class MiningService:
                         telemetry=tel,
                         retain=self.checkpoint_retain,
                     )
-                handle._resume_from = resume_from
                 # The queue span opens before scheduling so the driver
                 # thread can never observe the handle without it.
                 if tel is not None and tel.enabled:
@@ -724,8 +726,12 @@ class MiningService:
                     )
                 # Scheduled under the lock so a concurrent close() cannot
                 # shut the driver pool down between admission and
-                # scheduling.
-                self._drivers.submit(self._drive, handle, dataset, source)
+                # scheduling.  The checkpoint to resume from is passed to
+                # ``_drive`` rather than kept on the handle, which
+                # outlives the session.
+                self._drivers.submit(
+                    self._drive, handle, dataset, source, resume_from
+                )
         except AdmissionError as exc:
             if self.telemetry is not None:
                 self.telemetry.metrics.counter(
@@ -750,6 +756,7 @@ class MiningService:
         handle: SessionHandle,
         dataset: Optional[Dataset],
         source: Optional[StreamSource],
+        resume_from: Optional[Union[str, SessionCheckpoint]],
     ) -> None:
         """Driver-thread body: run the session, settle the handle, account."""
         spec = handle.spec
@@ -779,7 +786,7 @@ class MiningService:
                 handle.spec, backend=self.pool, dataset=dataset,
                 source=source, telemetry=exec_tel,
                 checkpointer=handle._checkpointer,
-                resume_from=handle._resume_from,
+                resume_from=resume_from,
             )
         except SessionEvicted as exc:
             # A requested checkpoint-and-abandon, not a failure: the slot
@@ -940,11 +947,11 @@ class MiningService:
     ) -> SessionHandle:
         """Re-admit an evicted session from its checkpoint file.
 
-        The spec embedded at save time is re-submitted with
-        ``resume_from`` pointing at the file, so the resumed session goes
-        through admission control (capacity, tenant budgets) exactly like
-        a new one — and its result is bit-identical to the uninterrupted
-        run.
+        The spec embedded at save time is re-submitted with the loaded
+        checkpoint as ``resume_from``, so the file is decoded once and
+        the resumed session goes through admission control (capacity,
+        tenant budgets) exactly like a new one — and its result is
+        bit-identical to the uninterrupted run.
         """
         ckpt = load_checkpoint(checkpoint_path)
         spec_mapping = ckpt.spec
@@ -957,7 +964,7 @@ class MiningService:
         return self.submit(
             spec,
             source=source,
-            resume_from=checkpoint_path,
+            resume_from=ckpt,
             checkpoint_every=checkpoint_every,
         )
 

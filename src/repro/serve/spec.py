@@ -35,7 +35,7 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..checks import require_choice, require_int
+from ..checks import require_bool, require_choice, require_int
 from ..datasets.partition import PartitionScheme
 from ..obs import Telemetry
 from ..datasets.schema import Dataset
@@ -174,6 +174,8 @@ class SessionSpec:
         names = CLASSIFIER_NAMES if self.kind == "batch" else ONLINE_CLASSIFIERS
         if self.classifier is not None:
             require_choice(f"{self.kind} classifier", self.classifier, names)
+        if self.compute_privacy is not None:
+            require_bool("compute_privacy", self.compute_privacy)
         # Normalize freely-given mappings/pair-sequences to hashable tuples.
         for name in ("classifier_params", "detector_params"):
             value = getattr(self, name)

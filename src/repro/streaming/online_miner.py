@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -82,11 +82,17 @@ class OnlineClassifier(abc.ABC):
 @dataclass(eq=False)
 class ReservoirKNNState:
     """A :class:`ReservoirKNN`'s checkpoint state (``rows`` is ``None``
-    before the first fit)."""
+    before the first fit).
+
+    ``labels`` is one 1-D array when every label is a numpy scalar of one
+    numeric type (stream sources' ``int64`` labels), so they encode as one
+    buffer; any other reservoir keeps a list, which keeps each label's
+    exact type.  :meth:`ReservoirKNN.restore` reads either form.
+    """
 
     rng: Dict[str, Any]
     rows: Optional[np.ndarray]
-    labels: List[Any]
+    labels: Union[np.ndarray, List[Any]]
     n_seen: int
 
 
@@ -209,20 +215,28 @@ class ReservoirKNN(OnlineClassifier):
         return ReservoirKNNState(
             rng=self.rng.bit_generator.state,
             rows=None if self._X_buf is None else self._X_buf[: self._size].copy(),
-            labels=list(self._labels),
+            labels=_packed_labels(self._labels),
             n_seen=self._n_seen,
         )
 
     def restore(self, state: ReservoirKNNState, dimension: Optional[int] = None) -> None:
         """Load a :meth:`snapshot` into a fresh reservoir; refuses a misfit."""
         rows = getattr(state, "rows", None)
-        if not isinstance(state, ReservoirKNNState) or not (
-            rows is None
-            or (
-                isinstance(rows, np.ndarray)
-                and rows.ndim == 2
-                and len(rows) == len(state.labels) <= self.capacity
-                and dimension in (None, rows.shape[1])
+        labels = getattr(state, "labels", None)
+        if not (
+            isinstance(state, ReservoirKNNState)
+            and (
+                isinstance(labels, list)
+                or (isinstance(labels, np.ndarray) and labels.ndim == 1)
+            )
+            and (
+                (rows is None and len(labels) == 0)
+                or (
+                    isinstance(rows, np.ndarray)
+                    and rows.ndim == 2
+                    and len(rows) == len(labels) <= self.capacity
+                    and dimension in (None, rows.shape[1])
+                )
             )
         ):
             raise CheckpointError(
@@ -234,7 +248,7 @@ class ReservoirKNN(OnlineClassifier):
         if rows is not None:
             self._X_buf = np.empty((self.capacity, rows.shape[1]))
             self._X_buf[: len(rows)] = rows
-        self._labels = list(state.labels)
+        self._labels = list(labels)
         self._size = len(self._labels)
         self._n_seen = state.n_seen
         self._model = None  # refit lazily from the restored reservoir
@@ -250,6 +264,23 @@ class ReservoirKNN(OnlineClassifier):
             "labels": np.asarray(self._labels),
             "n_neighbors": self.n_neighbors,
         }
+
+
+def _packed_labels(labels: List[Any]) -> Union[np.ndarray, List[Any]]:
+    """``labels`` as one 1-D array when all are numpy scalars of one
+    numeric type, else a copy of the list; ``list()`` of either gives the
+    same labels back, each of the same type."""
+    if labels:
+        kind = type(labels[0])
+        # dtype kinds: signed, unsigned, float, complex (not timedelta,
+        # which numpy also counts as an integer type).
+        if (
+            issubclass(kind, np.generic)
+            and np.dtype(kind).kind in "iufc"
+            and all(type(label) is kind for label in labels)
+        ):
+            return np.array(labels, dtype=kind)
+    return list(labels)
 
 
 class OnlineLinearSVM(OnlineClassifier):

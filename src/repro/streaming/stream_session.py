@@ -61,14 +61,15 @@ import logging
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..checks import require_choice, require_int, require_real
+from ..checks import require_bool, require_choice, require_int, require_real
 from ..checkpoint import (
     CheckpointError,
     Checkpointer,
+    SessionCheckpoint,
     SessionEvicted,
     load_checkpoint,
     register,
@@ -135,6 +136,7 @@ class TrustChange:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be >= 0")
+        require_real("trust", self.trust)
         if not 0.0 < self.trust <= 1.0:
             raise ValueError("trust must be in (0, 1]")
 
@@ -266,6 +268,7 @@ class StreamConfig:
         require_choice("normalizer", self.normalizer, NORMALIZER_KINDS)
         require_choice("drift detector", self.detector, DETECTOR_KINDS)
         require_int("readapt_cooldown", self.readapt_cooldown, minimum=0)
+        require_bool("compute_privacy", self.compute_privacy)
         require_int("shards", self.shards)
         require_choice("shard backend", self.shard_backend, BACKENDS)
         require_choice("shard plan", self.shard_plan, SHARD_STRATEGIES)
@@ -741,7 +744,7 @@ def run_stream_session(
     source: StreamSource,
     config: Optional[StreamConfig] = None,
     checkpointer: Optional[Checkpointer] = None,
-    resume_from: Optional[str] = None,
+    resume_from: Optional[Union[str, SessionCheckpoint]] = None,
 ) -> StreamSessionResult:
     """Mine a stream privately, re-adapting the space when the data drifts.
 
@@ -761,9 +764,11 @@ def run_stream_session(
         durable checkpoints at its round boundaries (and honors eviction
         requests by raising :class:`repro.checkpoint.SessionEvicted`).
     resume_from:
-        Path of a checkpoint file to restore before ingesting; the session
-        replays from that boundary and its result is bit-identical to
-        never having stopped.
+        A checkpoint to restore before ingesting: its file's path, or the
+        :class:`~repro.checkpoint.SessionCheckpoint` already loaded from
+        it (then the file is not decoded again).  The session replays
+        from that boundary and its result is bit-identical to never
+        having stopped.
     """
     # Imported here: repro.serve sits above this module in the layering.
     from ..serve.engine import execute_spec
@@ -781,7 +786,7 @@ def _execute_stream_session(
     config: StreamConfig,
     backend: Optional[ShardBackend] = None,
     checkpointer: Optional[Checkpointer] = None,
-    resume_from: Optional[str] = None,
+    resume_from: Optional[Union[str, SessionCheckpoint]] = None,
 ) -> StreamSessionResult:
     """The stream session internals (see :func:`run_stream_session`).
 
@@ -807,7 +812,7 @@ class _StreamRun:
         config: StreamConfig,
         backend: Optional[ShardBackend] = None,
         checkpointer: Optional[Checkpointer] = None,
-        resume_from: Optional[str] = None,
+        resume_from: Optional[Union[str, SessionCheckpoint]] = None,
     ) -> None:
         self.source = source
         self.config = config
@@ -916,15 +921,21 @@ class _StreamRun:
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
-    def _restore(self, path: str) -> _RunState:
-        """Load ``path``'s run state and restore every component from it.
+    def _restore(self, resume_from: Union[str, SessionCheckpoint]) -> _RunState:
+        """Restore every component from a checkpoint's run state.
 
-        A checkpoint of another format, configuration or source, or state
-        that does not fit this session, raises a :class:`CheckpointError`
-        naming the part — before any record is ingested.
+        ``resume_from`` is the checkpoint file's path or the checkpoint
+        already loaded from it.  A checkpoint of another format,
+        configuration or source, or state that does not fit this session,
+        raises a :class:`CheckpointError` naming the part — before any
+        record is ingested.
         """
         config, dimension = self.config, self.source.dimension
-        ckpt = load_checkpoint(path)
+        ckpt = (
+            resume_from
+            if isinstance(resume_from, SessionCheckpoint)
+            else load_checkpoint(resume_from)
+        )
         saved_format = ckpt.payload.get("format")
         if saved_format != STREAM_CHECKPOINT_FORMAT:
             raise CheckpointError(
@@ -956,7 +967,7 @@ class _StreamRun:
                 f"run state"
             )
         span = (
-            self.tracer.span("restore", parent=self.tel.parent, path=path)
+            self.tracer.span("restore", parent=self.tel.parent, path=ckpt.path)
             if self.traced
             else None
         )
@@ -994,7 +1005,7 @@ class _StreamRun:
             span.end(windows=len(state.window_stats), records=state.records)
         _LOG.info(
             "restored session from %s: %d windows, %d records",
-            path, len(state.window_stats), state.records,
+            ckpt.path, len(state.window_stats), state.records,
         )
         return state
 

@@ -261,6 +261,23 @@ def test_undamaged_wine_checkpoint_resumes(evicted_wine, capsys):
     assert '"records_processed": 384' in capsys.readouterr().out
 
 
+def test_reservoir_labels_saved_as_lists_resume_bit_identically(tmp_path):
+    """Files whose reservoir labels are lists of numpy scalars, as older
+    builds wrote them, still resume to the uninterrupted result."""
+    knobs = dict(shards=2, shard_backend="thread")
+    unbroken = _fingerprint(_run(**knobs))
+    checkpointer = Checkpointer(directory=str(tmp_path), stop_after=3)
+    with pytest.raises(SessionEvicted) as excinfo:
+        _run(checkpointer=checkpointer, **knobs)
+    payload = load_checkpoint(excinfo.value.path).payload
+    for reservoir in (payload["state"].miner, payload["state"].baseline):
+        assert isinstance(reservoir.labels, np.ndarray)
+        reservoir.labels = list(reservoir.labels)
+    path = str(tmp_path / "list_labels.ckpt")
+    save_checkpoint(path, payload)
+    assert _fingerprint(_run(resume_from=path, **knobs)) == unbroken
+
+
 # ----------------------------------------------------------------------
 # file format: every damage mode is a distinct, friendly refusal
 # ----------------------------------------------------------------------

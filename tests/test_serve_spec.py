@@ -65,6 +65,8 @@ from repro.streaming import StreamConfig, TrustChange, make_stream
         ({"kind": "stream", "window_kind": "sliding", "window_size": 4,
           "window_step": 9}, "sliding step"),
         ({"classifier_params": [[["n_neighbors"], 3]]}, "classifier_params"),
+        ({"kind": "stream", "dataset": "iris", "compute_privacy": "false"},
+         "compute_privacy"),
     ],
 )
 def test_bad_field_raises_friendly_valueerror(overrides, needle):
@@ -355,8 +357,17 @@ def test_a_batch_config_with_every_field_set_round_trips():
         (SAPConfig, {"noise_sigma": float("inf")}, "noise_sigma"),
         (SAPConfig, {"round_timeout": float("nan")}, "round_timeout"),
         (SAPConfig, {"test_fraction": "x"}, "test_fraction"),
+        (StreamConfig, {"window_size": 32, "compute_privacy": "no"},
+         "compute_privacy"),
+        (SAPConfig, {"k": 3, "optimize_locally": "no"}, "optimize_locally"),
+        (SAPConfig, {"classifier": "knn"}, "classifier"),
     ],
 )
 def test_configs_refuse_a_bad_knob_by_name(config, overrides, needle):
     with pytest.raises(ValueError, match=needle):
         config(**overrides)
+
+
+def test_trust_change_refuses_a_trust_that_is_not_a_number():
+    with pytest.raises(ValueError, match="trust"):
+        TrustChange(window=1, party=0, trust="x")

@@ -177,3 +177,73 @@ def test_restore_refuses_another_learner_or_width(rng):
         ReservoirKNN().restore(knn.snapshot(), dimension=5)
     with pytest.raises(CheckpointError, match="miner state"):
         OnlineLinearSVM().restore(svm.snapshot(), dimension=5)
+
+
+def _typed(labels):
+    return [(type(label), label) for label in labels]
+
+
+def _alone(labels):
+    """Each label as the codec returns it on its own: numpy integers stay
+    ``np.int64``; ``np.str_``/``np.float64`` subclass ``str``/``float``
+    and come back as those."""
+    return [decode(encode(label)) for label in labels]
+
+
+def test_int64_labels_snapshot_as_one_array_and_continue_identically(rng):
+    live = ReservoirKNN(capacity=64, seed=3)
+    live.partial_fit(*two_blobs(rng, n=100))
+    state = live.snapshot()
+    assert isinstance(state.labels, np.ndarray)
+    assert state.labels.ndim == 1 and state.labels.dtype == np.int64
+    restored = ReservoirKNN(capacity=64, seed=99)
+    restored.restore(decode(encode(state)), dimension=4)
+    # The reservoir keeps its labels as a list of numpy scalars.
+    assert _typed(restored._labels) == _typed(live._labels)
+    X, y = two_blobs(rng, n=32)
+    probe, _ = two_blobs(rng, n=20)
+    for model in (live, restored):
+        model.partial_fit(X, y)
+    assert np.array_equal(live.predict(probe), restored.predict(probe))
+    assert encode(restored.snapshot()) == encode(live.snapshot())
+
+
+def test_mixed_label_reservoirs_snapshot_as_lists_with_exact_types():
+    strings = ReservoirKNN(capacity=8, n_neighbors=1, seed=0)
+    strings.partial_fit(np.zeros((2, 2)), np.array(["a", "b"]))
+    strings.partial_fit(np.ones((1, 2)) * 9, np.array(["abc"]))
+    mixed = ReservoirKNN(capacity=8, n_neighbors=1, seed=0)
+    mixed.partial_fit(np.zeros((2, 2)), np.array([1, 2]))
+    mixed.partial_fit(np.ones((1, 2)) * 9, np.array([2.7]))
+    assert [type(label) for label in _alone(mixed._labels)] == [
+        np.int64, np.int64, float
+    ]
+    for model in (strings, mixed):
+        state = model.snapshot()
+        assert isinstance(state.labels, list)
+        restored = ReservoirKNN(capacity=8, n_neighbors=1, seed=5)
+        restored.restore(decode(encode(state)), dimension=2)
+        # No label takes its type from its neighbours.
+        assert _typed(restored._labels) == _typed(_alone(model._labels))
+        probe = np.ones((1, 2)) * 9
+        assert restored.predict(probe)[0] == model.predict(probe)[0]
+
+
+@pytest.mark.parametrize(
+    "rows, labels",
+    [
+        (lambda rows: rows, lambda labels: labels.reshape(-1, 1)),
+        (lambda rows: rows, lambda labels: labels[:-1]),
+        (lambda rows: rows, lambda labels: np.append(labels, labels[:1])),
+        (lambda rows: rows, lambda labels: labels[:1].reshape(())),
+        (lambda rows: None, lambda labels: labels),
+    ],
+    ids=["2-d", "one-short", "one-long", "0-d", "without-rows"],
+)
+def test_restore_refuses_a_misfit_label_array(rng, rows, labels):
+    model = ReservoirKNN(capacity=64, seed=3)
+    model.partial_fit(*two_blobs(rng, n=40))
+    state = decode(encode(model.snapshot()))
+    state.rows, state.labels = rows(state.rows), labels(state.labels)
+    with pytest.raises(CheckpointError, match="miner state"):
+        ReservoirKNN(capacity=64).restore(state, dimension=4)

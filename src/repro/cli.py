@@ -117,14 +117,24 @@ from .checkpoint import (
     load_checkpoint,
     prune_checkpoints,
 )
-from .cluster import ClusterController, ClusterError
+from .cluster import (
+    CLUSTER_BACKENDS,
+    PLACEMENT_POLICIES,
+    ClusterController,
+    ClusterError,
+)
 from .core.session import run_sap_session
 from .datasets.registry import dataset_summary, load_dataset
 from .obs import Telemetry, log_to_stderr
-from .parties.config import ClassifierSpec, SAPConfig
+from .parties.config import CLASSIFIER_NAMES, ClassifierSpec, SAPConfig
 from .serve import AdmissionError, MiningService, SessionSpec
+from .sharding import BACKENDS, SHARD_STRATEGIES
 from .streaming import (
+    DETECTOR_KINDS,
+    LATE_POLICIES,
+    ONLINE_CLASSIFIERS,
     STREAM_KINDS,
+    WINDOW_KINDS,
     StreamConfig,
     TrustChange,
     make_stream,
@@ -191,7 +201,7 @@ def _add_workload_flags(
     p.add_argument(
         "--shard-backend",
         default="thread",
-        choices=["serial", "thread", "process"],
+        choices=list(BACKENDS),
         help="shard pool executor (results are identical)",
     )
     p.add_argument("--seed", type=int, default=0)
@@ -312,10 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--classifier",
         default="knn",
-        choices=[
-            "knn", "svm_rbf", "linear_svm", "perceptron",
-            "lda", "naive_bayes", "decision_tree",
-        ],
+        choices=list(CLASSIFIER_NAMES),
     )
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--privacy", action="store_true", help="also compute risk profiles")
@@ -347,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", type=int, default=20, help="windows to process")
     p.add_argument("--window-size", type=int, default=64)
     p.add_argument(
-        "--window-kind", default="tumbling", choices=["tumbling", "sliding"]
+        "--window-kind", default="tumbling", choices=list(WINDOW_KINDS)
     )
     p.add_argument(
         "--window-step",
@@ -357,10 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=int, default=3)
     p.add_argument(
-        "--classifier", default="knn", choices=["knn", "linear_svm"]
+        "--classifier", default="knn", choices=list(ONLINE_CLASSIFIERS)
     )
     p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--detector", default="meanvar", choices=["meanvar", "ks"])
+    p.add_argument("--detector", default="meanvar", choices=list(DETECTOR_KINDS))
     p.add_argument(
         "--shards",
         type=int,
@@ -370,13 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shard-backend",
         default="serial",
-        choices=["serial", "thread", "process"],
+        choices=list(BACKENDS),
         help="executor running the shard tasks (results are identical)",
     )
     p.add_argument(
         "--shard-plan",
         default="round_robin",
-        choices=["round_robin", "hash", "party"],
+        choices=list(SHARD_STRATEGIES),
         help="window/batch-to-shard assignment strategy",
     )
     p.add_argument(
@@ -411,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--late-policy",
         default="drop",
-        choices=["drop", "readmit", "upsert"],
+        choices=list(LATE_POLICIES),
         help="what happens to records arriving after their window sealed",
     )
     p.add_argument("--seed", type=int, default=0)
@@ -497,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="inprocess",
-        choices=["inprocess", "process"],
+        choices=list(CLUSTER_BACKENDS),
         help="replica backend: engines in this process, or one OS process "
         "per replica behind the framed transport (results identical)",
     )
@@ -511,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--placement",
         default="hash",
-        choices=["hash", "least_loaded", "tenant"],
+        choices=list(PLACEMENT_POLICIES),
         help="session-to-replica placement policy",
     )
     p.add_argument(

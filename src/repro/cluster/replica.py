@@ -18,12 +18,12 @@ cost.
 
 Checkpoints cross the boundary as **bytes in the RPCK file format**
 (:func:`repro.checkpoint.dumps_checkpoint` output): a ``submit`` carrying
-``resume`` bytes is written into the replica's own checkpoint directory
-and re-admitted from there, so the receiving engine validates magic,
-schema version, and digest exactly as it would for a local file — a
-corrupted migration payload is refused with the same distinct
-:class:`~repro.checkpoint.CheckpointError` messages, never silently
-resumed.
+``resume`` bytes is decoded with :func:`~repro.checkpoint.loads_checkpoint`
+and re-admitted straight from them, writing no file, so the receiving
+engine validates magic, schema version, and digest exactly as it would
+for a local file — a corrupted migration payload is refused with the
+same distinct :class:`~repro.checkpoint.CheckpointError` messages, never
+silently resumed.
 
 Crash semantics: the child ignores ``SIGINT`` (the parent owns interrupt
 handling and parks sessions before terminating children — no orphaned
@@ -40,7 +40,7 @@ import socket
 import sys
 from typing import Any, Dict, Optional, Tuple
 
-from ..checkpoint import CheckpointError
+from ..checkpoint import checkpoint as checkpoints
 from ..obs import log_to_stderr
 from ..serve.engine import MiningService, SessionHandle, TenantPolicy
 from .protocol import error_response, ok_response, read_frame, write_frame
@@ -70,7 +70,6 @@ class ReplicaServer:
         # every handle it admitted so the parent can poll/collect results
         # at its own pace.
         self._handles: Dict[int, SessionHandle] = {}
-        self._resume_counter = 0
 
     # -- handlers: each returns (response, keep_serving) ----------------
     def _handle(self, session_id: Any) -> SessionHandle:
@@ -86,20 +85,9 @@ class ReplicaServer:
         checkpoint_every = request.get("checkpoint_every")
         resume = request.get("resume")
         if resume is not None:
-            directory = self.service.checkpoint_dir
-            if directory is None:
-                raise CheckpointError(
-                    "this replica has no checkpoint directory; it cannot "
-                    "accept a checkpoint-over-the-wire resume"
-                )
-            os.makedirs(directory, exist_ok=True)
-            self._resume_counter += 1
-            path = os.path.join(
-                directory, f"wire-{self._resume_counter:05d}.ckpt"
-            )
-            with open(path, "wb") as stream:
-                stream.write(resume)
-            handle = self.service.resume(path, checkpoint_every=checkpoint_every)
+            # Looked up on its module at call time, as load_checkpoint does.
+            ckpt = checkpoints.loads_checkpoint(resume, "resume payload")
+            handle = self.service.resume(ckpt, checkpoint_every=checkpoint_every)
         else:
             handle = self.service.submit(
                 request["spec"], checkpoint_every=checkpoint_every

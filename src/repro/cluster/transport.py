@@ -648,7 +648,7 @@ class ProcessReplica(ReplicaTransport):
             else:
                 value = self._rpc(
                     "submit",
-                    spec=dict(spec.to_mapping()),
+                    spec=spec.to_mapping(),
                     checkpoint_every=checkpoint_every,
                 )
         except TransportError as exc:

@@ -941,23 +941,27 @@ class MiningService:
 
     def resume(
         self,
-        checkpoint_path: str,
+        checkpoint_path: Union[str, SessionCheckpoint],
         source: Optional[StreamSource] = None,
         checkpoint_every: Optional[int] = None,
     ) -> SessionHandle:
-        """Re-admit an evicted session from its checkpoint file.
+        """Re-admit an evicted session from its checkpoint (the file's
+        path, or the :class:`~repro.checkpoint.SessionCheckpoint` already
+        loaded from it or decoded from bytes).
 
         The spec embedded at save time is re-submitted with the loaded
-        checkpoint as ``resume_from``, so the file is decoded once and
-        the resumed session goes through admission control (capacity,
+        checkpoint as ``resume_from``, so the checkpoint is decoded once
+        and the resumed session goes through admission control (capacity,
         tenant budgets) exactly like a new one — and its result is
         bit-identical to the uninterrupted run.
         """
-        ckpt = load_checkpoint(checkpoint_path)
+        ckpt = checkpoint_path
+        if not isinstance(ckpt, SessionCheckpoint):
+            ckpt = load_checkpoint(ckpt)
         spec_mapping = ckpt.spec
         if spec_mapping is None:
             raise CheckpointError(
-                f"checkpoint {checkpoint_path!r} carries no session spec; it "
+                f"checkpoint {ckpt.path or 'data'} carries no session spec; it "
                 f"was not written by a serving engine and cannot be re-admitted"
             )
         spec = SessionSpec.from_mapping(spec_mapping)

@@ -62,6 +62,19 @@ _CONFIG_FIELDS = {
     kind: tuple(f.name for f in fields(config)) for kind, config in _CONFIGS.items()
 }
 
+#: each kind's knobs that no config carries, and the knobs both kinds
+#: read through the spec although only one config carries them
+_SPEC_ONLY = {"batch": ("scheme",), "stream": ("stream", "windows", "n_records")}
+_SHARED = ("classifier_params", "compute_privacy", "telemetry")
+
+#: each kind's foreign knobs: those only the other kind uses, which a
+#: spec of this kind refuses at any value but their default
+_FOREIGN = {
+    kind: frozenset(_CONFIG_FIELDS[other] + _SPEC_ONLY[other])
+    - set(_CONFIG_FIELDS[kind] + _SHARED)
+    for kind, other in zip(SESSION_KINDS, reversed(SESSION_KINDS))
+}
+
 
 @dataclass(frozen=True)
 class SessionSpec:
@@ -70,8 +83,10 @@ class SessionSpec:
     Every field of :class:`~repro.parties.SAPConfig` and of
     :class:`~repro.streaming.StreamConfig` is a spec field of the same
     name, documented and checked there; both configs are built from the
-    spec at construction, so a knob of the other kind is checked too.
-    Where the spec differs from the configs:
+    spec at construction, so a knob of the other kind is checked too, and
+    then refused by name unless it keeps its default (a stream session
+    never runs the batch protocol's local optimizer, for one).  Where the
+    spec differs from the configs:
 
     kind:
         ``"batch"`` (one-shot Space Adaptation Protocol run) or
@@ -191,15 +206,11 @@ class SessionSpec:
         changes = []
         try:
             for change in self.trust_changes:
-                if isinstance(change, TrustChange):
-                    changes.append(change)
-                elif isinstance(change, Mapping):
-                    changes.append(TrustChange(**change))
-                else:
-                    window, party, trust = change
-                    changes.append(
-                        TrustChange(window=window, party=party, trust=trust)
-                    )
+                if isinstance(change, Mapping):
+                    change = TrustChange(**change)
+                elif not isinstance(change, TrustChange):
+                    change = TrustChange(*change)  # (window, party, trust)
+                changes.append(change)
         except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"trust_changes must list (window, party, trust) changes, got "
@@ -207,9 +218,18 @@ class SessionSpec:
             ) from None
         object.__setattr__(self, "trust_changes", tuple(changes))
         # Every other field is a config's: building both configs checks
-        # it, whatever this spec's kind.
+        # it, whatever this spec's kind, so a bad value's own message wins
+        # over the refusal of a knob this kind does not use.
         for kind in SESSION_KINDS:
             self._config(kind)
+        foreign = [
+            f.name for f in fields(self)
+            if f.name in _FOREIGN[self.kind] and getattr(self, f.name) != f.default
+        ]
+        if foreign:
+            raise ValueError(
+                f"{self.kind} sessions do not use {', '.join(foreign)}; leave unset"
+            )
 
     # ------------------------------------------------------------------
     # derived views
@@ -401,55 +421,21 @@ class SessionSpec:
         return cls(**dict(mapping))
 
     def to_mapping(self) -> Dict[str, Any]:
-        """The JSON-friendly inverse of :meth:`from_mapping`."""
-        payload: Dict[str, Any] = {
-            "kind": self.kind,
-            "dataset": self.dataset_name,
-            "tenant": self.tenant,
-            "seed": self.seed,
-            "k": self.effective_k,
-            "noise_sigma": self.noise_sigma,
-            "classifier": self.effective_classifier,
-            "compute_privacy": self.effective_privacy,
-            "shards": self.shards,
-            "shard_backend": self.shard_backend,
-            "shard_plan": self.shard_plan,
-        }
-        if self.label:
-            payload["label"] = self.label
-        if self.classifier_params:
-            payload["classifier_params"] = dict(self.classifier_params)
-        if self.kind == "batch":
-            payload["scheme"] = self.scheme
-            payload["test_fraction"] = self.test_fraction
-            payload["optimize_locally"] = self.optimize_locally
-            payload["optimizer_rounds"] = self.optimizer_rounds
-            payload["optimizer_local_steps"] = self.optimizer_local_steps
-            payload["target_candidates"] = self.target_candidates
-            if self.round_timeout is not None:
-                payload["round_timeout"] = self.round_timeout
-        else:
-            payload.update(
-                stream=self.stream,
-                windows=self.windows,
-                window_size=self.window_size,
-                window_kind=self.window_kind,
-                normalizer=self.normalizer,
-                detector=self.detector,
-                readapt_cooldown=self.readapt_cooldown,
-                n_records=self.effective_records,
-                overlap=self.overlap,
-                watermark_delay=self.watermark_delay,
-                late_policy=self.late_policy,
-                skew=self.skew,
-            )
-            if self.window_step is not None:
-                payload["window_step"] = self.window_step
-            if self.detector_params:
-                payload["detector_params"] = dict(self.detector_params)
-            if self.trust_changes:
-                payload["trust_changes"] = [
-                    {"window": c.window, "party": c.party, "trust": c.trust}
-                    for c in self.trust_changes
-                ]
+        """The JSON-friendly inverse of :meth:`from_mapping`.
+
+        Every field's raw value (``telemetry`` aside), so
+        ``from_mapping(to_mapping(spec)) == spec``; only the dataset (its
+        name), the ``*_params`` (dicts) and the trust changes (mappings)
+        change form.
+        """
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        payload.update(
+            dataset=self.dataset_name,
+            classifier_params=dict(self.classifier_params),
+            detector_params=dict(self.detector_params),
+            trust_changes=[
+                {"window": c.window, "party": c.party, "trust": c.trust}
+                for c in self.trust_changes
+            ],
+        )
         return payload

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -677,10 +677,7 @@ class _Round:
 STREAM_CHECKPOINT_FORMAT = "repro.checkpoint/stream"
 
 #: the source-identity fields a checkpoint records (``make_stream`` args)
-_SOURCE_FIELDS = (
-    "name", "kind", "n_records", "seed", "drift_at", "magnitude",
-    "transition", "rate", "burst_factor",
-)
+_SOURCE_FIELDS = tuple(f.name for f in fields(StreamSource) if f.name != "pool")
 
 
 def _source_mapping(source: StreamSource) -> Dict[str, Any]:
@@ -1005,7 +1002,7 @@ class _StreamRun:
             span.end(windows=len(state.window_stats), records=state.records)
         _LOG.info(
             "restored session from %s: %d windows, %d records",
-            ckpt.path, len(state.window_stats), state.records,
+            ckpt.path or "bytes", len(state.window_stats), state.records,
         )
         return state
 

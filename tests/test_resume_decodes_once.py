@@ -2,9 +2,9 @@
 
 ``MiningService.resume`` and ``repro stream --resume-from`` load the file
 to read the spec or config it carries, then hand the loaded checkpoint
-to the session; a process replica writes the bytes it received and
-resumes through ``MiningService.resume``.  Each test counts calls to
-``loads_checkpoint``, the one decoder every load goes through.
+to the session; a process replica decodes the bytes it received and
+hands that checkpoint to ``MiningService.resume``.  Each test counts
+calls to ``loads_checkpoint``, the one decoder every load goes through.
 """
 
 import pytest

@@ -2,9 +2,9 @@
 
 Submits the same mixed batch+stream workload to a
 :class:`repro.serve.MiningService` at increasing concurrency
-(``max_inflight``) over one shared thread worker pool, and reports
-sustained sessions/second, the speedup over sequential submission, and
-the shared pool's utilization.  Because the engine is bit-deterministic,
+(``max_inflight``) on a ``thread`` engine, whose drivers run the shard
+tasks, and reports sustained sessions/second, the speedup over
+sequential submission, and the drivers' task utilization.  Because the engine is bit-deterministic,
 the benchmark doubles as a correctness check: every concurrency level
 must reproduce the sequential reference result-for-result.
 

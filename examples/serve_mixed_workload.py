@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Serving many sessions: one engine, many tenants, one shared pool.
+"""Serving many sessions: one engine, many tenants.
 
 Two organizations — "acme" and "globex" — use the same Space Adaptation
 deployment.  Acme runs one-shot batch collaborations; globex mines live
 streams.  A single :class:`repro.MiningService` runs all of it
-concurrently over one shared shard-worker pool, with admission control
-(at most 3 sessions in flight, 2 more queued) and per-tenant budgets
-(globex may only afford one privacy/attack-suite evaluation).
+concurrently, each session's shard tasks on its own driver thread, with
+admission control (at most 3 sessions in flight, 2 more queued) and
+per-tenant budgets (globex may only afford one privacy/attack-suite
+evaluation).
 
 Every tenant's seeds are namespaced, so acme and globex submitting the
 *same* spec draw independent randomness — and each session's result is

@@ -31,8 +31,8 @@ Usage (after ``pip install -e .``)::
     repro checkpoint inspect ckpts --retain 2
                                    # list a checkpoint directory, pruning
                                    # each session down to its newest 2
-    repro serve --sessions 8 --shards 4
-                                   # many concurrent sessions, one shared pool
+    repro serve --sessions 8 --max-inflight 4
+                                   # many concurrent sessions, one engine
     repro serve --workload workload.json --json
                                    # run a JSON workload file, emit JSON
     repro serve --checkpoint-dir ckpts --checkpoint-every 4
@@ -196,13 +196,16 @@ def _add_workload_flags(
         "--shards",
         type=int,
         default=2,
-        help=f"workers in the shard pool of {owner}",
+        help=f"workers in the process pool of {owner} (serial and thread "
+        "run shard tasks on the session drivers)",
     )
     p.add_argument(
         "--shard-backend",
         default="thread",
         choices=list(BACKENDS),
-        help="shard pool executor (results are identical)",
+        help="where shard tasks run: serial and thread both mean inline on "
+        "each session's own driver thread, process on one shared process "
+        "pool (results are identical)",
     )
     p.add_argument("--seed", type=int, default=0)
 
@@ -1314,6 +1317,16 @@ def _report(
     return series_block(title, "\n\n".join(body)), exit_code
 
 
+def _shard_pool(args: argparse.Namespace) -> str:
+    """Where an engine built from ``args`` runs its shard tasks."""
+    if args.shard_backend == "process":
+        return f"process pool of {args.shards} workers"
+    return (
+        f"{args.shard_backend}: shard tasks inline on the "
+        f"{args.max_inflight} drivers"
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> Tuple[str, int]:
     specs = _workload_specs(args, _demo_workload, args.checkpoint_dir is not None)
     service = MiningService(
@@ -1331,8 +1344,7 @@ def _cmd_serve(args: argparse.Namespace) -> Tuple[str, int]:
         args,
         run,
         f"Serving engine - {len(run.sessions)} sessions "
-        f"({args.shard_backend} pool, {args.shards} workers, "
-        f"max_inflight={args.max_inflight})",
+        f"({_shard_pool(args)}, max_inflight={args.max_inflight})",
         columns=(("queue_seconds", None), ("wall_seconds", None)),
         top={"service": run.stats.to_dict()},
     )
@@ -1500,7 +1512,7 @@ def _cmd_cluster(args: argparse.Namespace) -> Tuple[str, int]:
         run,
         f"Cluster - {len(run.sessions)} sessions over {args.replicas} "
         f"{args.backend} replicas ({args.placement} placement, "
-        f"{args.shard_backend} pools x {args.shards} workers)",
+        f"{_shard_pool(args)} each)",
         columns=(("replica", "replica"), ("migrations", "hops")),
         top={**extra, "cluster": run.stats.to_dict()},
         notes=notes,

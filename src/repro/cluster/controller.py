@@ -20,7 +20,7 @@ opaque RPCK payloads.  Two interchangeable backends plug in:
 The division of labor with the replicas:
 
 * **Replica-level**: driver slots (``max_inflight``/``queue_limit``),
-  the shared pool, checkpoint saves, per-session lifecycle.  Replicas
+  where shard tasks run, checkpoint saves, per-session lifecycle.  Replicas
   carry *no* tenant policies.
 * **Cluster-level** (this module): tenant budgets — enforced once, here,
   so a migration's re-admission on the destination replica does not
@@ -468,9 +468,10 @@ class ClusterController:
     Parameters
     ----------
     replicas:
-        Number of replicas to build.  Each owns its own metered shard
-        pool (``max_inflight``/``queue_limit``/``shard_backend``/
-        ``shard_workers`` apply per replica) and its own checkpoint
+        Number of replicas to build.  Each is a :class:`MiningService`
+        (``max_inflight``/``queue_limit``/``shard_backend``/
+        ``shard_workers`` apply per replica, so under ``thread`` a replica
+        runs shard tasks on its own drivers) with its own checkpoint
         subdirectory ``replica-<i>/`` under ``checkpoint_dir``.
     placement:
         ``"hash"`` | ``"least_loaded"`` | ``"tenant"`` or a callable
@@ -678,10 +679,16 @@ class ClusterController:
         the chosen replica then applies its own capacity admission.  Both
         refusals raise :class:`AdmissionError`.  ``replica`` pins the
         session to one replica, bypassing the placement policy (it must
-        not be draining or dead).
+        not be draining or dead).  On the process backend a spec that
+        :meth:`SessionSpec.to_mapping` cannot write down raises its
+        :class:`ValueError` before placement, counting nothing.
         """
         if not isinstance(spec, SessionSpec):
             spec = SessionSpec.from_mapping(spec)
+        if self.backend == "process":
+            # A process replica is sent the spec's mapping: a spec that
+            # cannot be written down is refused before it is placed.
+            spec.to_mapping()
         every = (
             checkpoint_every
             if checkpoint_every is not None

@@ -197,7 +197,7 @@ def _execute_sap_session(
     """The batch protocol internals (see :func:`run_sap_session`).
 
     ``backend`` optionally points the privacy-profiling fan-out at an
-    externally owned worker pool (the serving engine's shared one) instead
+    externally owned backend (a serving engine's metered one) instead
     of building a fresh pool from ``config.shard_backend``; the choice
     cannot affect results.
     """

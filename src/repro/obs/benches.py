@@ -212,7 +212,7 @@ def _stream_spec(windows: int, window_size: int, seed: int, **fields: Any):
 
 def _run_service(specs: Sequence[Any], max_inflight: int, backend: str):
     """Run ``specs`` through one engine; returns their fingerprints, the
-    wall seconds and the shared pool's utilization."""
+    wall seconds and the metered backend's utilization."""
     from ..serve import MiningService
 
     began = time.perf_counter()
@@ -228,7 +228,7 @@ def _run_service(specs: Sequence[Any], max_inflight: int, backend: str):
 
 
 def _serve(quick: bool) -> Measurement:
-    """Mixed batch+stream sessions/sec vs ``max_inflight`` on one thread pool."""
+    """Mixed batch+stream sessions/sec vs ``max_inflight`` on a thread engine."""
     from ..serve import SessionSpec
 
     n_sessions, n_windows, window_size, levels = (
@@ -272,7 +272,7 @@ def _serve(quick: bool) -> Measurement:
         _render(
             "Serving - sessions/sec vs concurrency",
             f"{n_sessions} mixed sessions, wine, stream "
-            f"{n_windows}x{window_size}, thread pool",
+            f"{n_windows}x{window_size}, thread engine",
             quick,
             ["max_inflight", "sessions/sec", "speedup", "pool util",
              "identical"],

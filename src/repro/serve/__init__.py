@@ -10,8 +10,8 @@ providers join; this package is that service's front door:
 * :mod:`~repro.serve.engine` — :func:`execute_spec` (the single
   execution path the legacy one-shot wrappers also use) and
   :class:`MiningService` / :data:`Engine`, the long-lived serving engine
-  that runs many concurrent sessions over one shared, metered shard-worker
-  pool with admission control (:class:`AdmissionError`), per-tenant
+  that runs many concurrent sessions on its driver threads, their shard
+  tasks inline or on one shared process pool, with admission control (:class:`AdmissionError`), per-tenant
   namespaced seeds and budgets (:class:`TenantPolicy`), per-session
   lifecycle handles (:class:`SessionHandle`), and aggregate service
   statistics (:class:`ServiceStats`).

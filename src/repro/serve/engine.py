@@ -1,10 +1,11 @@
 """The multi-session serving engine.
 
 :class:`MiningService` (alias :data:`Engine`) is the long-lived front door
-the ROADMAP's serving milestone asks for: it owns **one** shared, metered
-shard-worker pool and runs many concurrent :class:`~repro.serve.spec.SessionSpec`
-workloads over it — batch protocol runs and stream sessions side by side —
-with
+the ROADMAP's serving milestone asks for: it runs many concurrent
+:class:`~repro.serve.spec.SessionSpec` workloads — batch protocol runs and
+stream sessions side by side — on its driver threads, each session's shard
+tasks inline on its own driver or on **one** shared process pool, metered
+either way, with
 
 * **admission control**: at most ``max_inflight`` sessions execute
   concurrently, at most ``queue_limit`` more may wait, and anything beyond
@@ -22,7 +23,7 @@ with
 :func:`execute_spec` is the single execution path underneath everything:
 the legacy :func:`repro.run_sap_session` / :func:`repro.run_stream_session`
 wrappers call it inline with no service around them, and the service calls
-it on a driver thread with the shared pool plugged in.
+it on a driver thread with its metered backend plugged in.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ from ..checkpoint import (
     load_checkpoint,
     register,
 )
+from ..checks import require_choice
 from ..core.session import SAPSessionResult, _execute_sap_session
 from ..datasets.partition import PartitionScheme
 from ..datasets.registry import load_dataset
 from ..datasets.schema import Dataset
 from ..obs import Telemetry, pool_collector, service_collector
-from ..sharding.backends import MeteredBackend, ShardBackend, make_backend
+from ..sharding.backends import BACKENDS, MeteredBackend, ShardBackend, make_backend
 from ..streaming.sources import StreamSource
 from ..streaming.stream_session import StreamSessionResult, _execute_stream_session
 from .spec import SessionSpec
@@ -535,10 +537,14 @@ class MiningService:
         Sessions allowed to wait beyond the in-flight ones; ``None`` is
         unbounded, ``0`` rejects anything that cannot start immediately.
     shard_backend / shard_workers:
-        The shared physical worker pool every session's shard tasks run
-        on (``serial``/``thread``/``process``; workers default to
-        ``max_inflight``).  It overrides the per-spec ``shard_backend``,
-        which is sound because session results are backend-independent.
+        Where every session's shard tasks run, overriding the per-spec
+        ``shard_backend``, which is sound because session results are
+        backend-independent.  ``process`` is one shared pool of
+        ``shard_workers`` processes (default ``max_inflight``).
+        ``serial`` and ``thread`` mean the same here: each session runs
+        its tasks inline on its own driver thread, because the drivers
+        already are the engine's threads, so ``shard_workers`` sizes
+        only a process pool.
     tenants:
         Optional ``{tenant: TenantPolicy}`` budgets; unlisted tenants are
         unbounded.
@@ -582,7 +588,15 @@ class MiningService:
         workers = max_inflight if shard_workers is None else shard_workers
         if workers < 1:
             raise ValueError("shard_workers must be a positive integer")
-        self.pool = MeteredBackend(make_backend(shard_backend, workers))
+        require_choice("shard backend", shard_backend, BACKENDS)
+        if shard_backend == "process":
+            self.pool = MeteredBackend(make_backend(shard_backend, workers))
+        else:
+            # The drivers already are this engine's thread pool: a second
+            # pool under them adds interpreter-lock handoffs and no
+            # parallelism, so a thread engine runs each session's shard
+            # tasks on its own driver, as a serial engine does.
+            self.pool = MeteredBackend(make_backend("serial"), max_inflight)
         # Pre-fork/pre-start the shared pool's workers from this thread,
         # before any driver threads exist: forking a multi-threaded process
         # can leave child workers holding another thread's locks.
@@ -689,7 +703,10 @@ class MiningService:
         become :meth:`evict`-able; ``resume_from`` restores one from a
         checkpoint file (its path or its loaded
         :class:`~repro.checkpoint.SessionCheckpoint`) — re-entering
-        admission control like any new session.
+        admission control like any new session.  Such a session's spec
+        is written into its checkpoints, so one that
+        :meth:`SessionSpec.to_mapping` cannot write down raises its
+        :class:`ValueError` before admission, counting nothing.
         """
         if not isinstance(spec, SessionSpec):
             spec = SessionSpec.from_mapping(spec)
@@ -705,15 +722,19 @@ class MiningService:
                 "checkpointing is streaming-only: a batch session is a single "
                 "protocol round with nothing to resume"
             )
+        durable = self.checkpoint_dir is not None and spec.kind == "stream"
+        # Before admission: a spec that cannot be written down is refused
+        # without being counted.
+        spec_mapping = spec.to_mapping() if durable else None
         try:
             with self._lock:
                 handle = self._admit(spec)
-                if self.checkpoint_dir is not None and spec.kind == "stream":
+                if durable:
                     handle._checkpointer = Checkpointer(
                         directory=self.checkpoint_dir,
                         every=checkpoint_every,
                         label=f"session-{handle.session_id}",
-                        spec_mapping=spec.to_mapping(),
+                        spec_mapping=spec_mapping,
                         telemetry=tel,
                         retain=self.checkpoint_retain,
                     )

@@ -35,8 +35,11 @@ import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from ..checks import require_bool, require_choice, require_int
 from ..datasets.partition import PartitionScheme
+from ..datasets.registry import load_dataset
 from ..obs import Telemetry
 from ..datasets.schema import Dataset
 from ..parties.config import CLASSIFIER_NAMES, ClassifierSpec, SAPConfig
@@ -76,6 +79,18 @@ _FOREIGN = {
 }
 
 
+def _is_registry_table(dataset: Dataset) -> bool:
+    """Whether ``dataset`` is the table its name loads from the registry."""
+    try:
+        registry = load_dataset(dataset.name)
+    except KeyError:
+        return False
+    return dataset.feature_names == registry.feature_names and all(
+        mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        for mine, theirs in ((dataset.X, registry.X), (dataset.y, registry.y))
+    )
+
+
 @dataclass(frozen=True)
 class SessionSpec:
     """One declarative mining-session description (batch or stream).
@@ -94,7 +109,10 @@ class SessionSpec:
     dataset:
         Registry dataset name (see :data:`repro.datasets.DATASET_NAMES`),
         or an in-memory :class:`~repro.datasets.schema.Dataset` when the
-        spec is built programmatically by the legacy wrappers.
+        spec is built programmatically by the legacy wrappers.  Only a
+        spec whose table the registry name loads can be written down
+        (:meth:`to_mapping`), so only such a spec can checkpoint through
+        an engine or run on a process replica.
     tenant:
         Namespace for seeds and service budgets; ``"default"`` keeps the
         raw seed (legacy behaviour).
@@ -119,7 +137,7 @@ class SessionSpec:
     shard_backend:
         Used when the spec runs standalone — a
         :class:`~repro.serve.engine.MiningService` substitutes its own
-        shared pool, which is sound because results are
+        backend, which is sound because results are
         backend-independent by construction.
     telemetry:
         Optional :class:`repro.obs.Telemetry` bundle carried into
@@ -426,8 +444,17 @@ class SessionSpec:
         Every field's raw value (``telemetry`` aside), so
         ``from_mapping(to_mapping(spec)) == spec``; only the dataset (its
         name), the ``*_params`` (dicts) and the trust changes (mappings)
-        change form.
+        change form.  A mapping names its dataset, so an in-memory
+        :class:`~repro.datasets.schema.Dataset` other than the registry
+        table of its name raises a :class:`ValueError` naming it.
         """
+        if isinstance(self.dataset, Dataset) and not _is_registry_table(self.dataset):
+            raise ValueError(
+                f"dataset {self.dataset_name!r} is an in-memory table that the "
+                f"registry name does not load, so this spec cannot be written "
+                f"down; run it inline or on an in-process engine without "
+                f"checkpoints"
+            )
         payload = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         payload.update(
             dataset=self.dataset_name,

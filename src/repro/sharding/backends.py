@@ -360,9 +360,10 @@ class MeteredBackend(ShardBackend):
     alike — is forwarded unchanged; the wrapper accumulates the number of
     tasks and batches dispatched plus ``busy_seconds``, a *worker
     occupancy* integral: at any instant the in-flight dispatches demand
-    ``min(tasks, workers)`` workers each, the total is clamped at the
-    pool's physical worker count, and ``busy_seconds`` integrates that
-    clamped occupancy over time.  A dispatch's span opens at submit (not
+    ``min(tasks, workers)`` workers each (one, the caller's thread, on an
+    inline backend), the total is clamped at ``n_workers``, the threads
+    that run the tasks, and ``busy_seconds`` integrates that clamped
+    occupancy over time.  A dispatch's span opens at submit (not
     just while a driver is blocked, so pipelined rounds are accounted for
     the whole time they occupy workers) and closes as soon as its last
     task settles — or at gather/cancel, whichever comes first — so a
@@ -375,20 +376,20 @@ class MeteredBackend(ShardBackend):
 
     name = "metered"
 
-    def __init__(self, inner: ShardBackend) -> None:
+    def __init__(self, inner: ShardBackend, n_workers: Optional[int] = None) -> None:
         self.inner = inner
         self.name = f"metered-{inner.name}"
+        #: the threads that run the tasks: the wrapped pool's workers, or,
+        #: for an inline backend, the callers it is shared by
+        self.n_workers = (
+            getattr(inner, "n_workers", 1) if n_workers is None else n_workers
+        )
         self._lock = threading.Lock()
         self.tasks_dispatched = 0
         self.batches_dispatched = 0
         self.busy_seconds = 0.0
         self._active_weight = 0
         self._last_transition = time.perf_counter()
-
-    @property
-    def n_workers(self) -> int:
-        """Worker count of the wrapped backend (1 for serial)."""
-        return getattr(self.inner, "n_workers", 1)
 
     @property
     def supports_overlap(self) -> bool:  # type: ignore[override]
@@ -416,8 +417,9 @@ class MeteredBackend(ShardBackend):
             self.batches_dispatched += 1
 
     def _span_weight(self, n_tasks: int) -> int:
-        """Workers one dispatch can occupy: its task count, pool-clamped."""
-        return max(1, min(n_tasks, self.n_workers))
+        """Workers one dispatch can occupy: its task count, clamped to the
+        wrapped backend's workers (an inline dispatch occupies its caller)."""
+        return max(1, min(n_tasks, getattr(self.inner, "n_workers", 1)))
 
     def map(
         self, fn: Callable[[_Task], _Result], tasks: Sequence[_Task]

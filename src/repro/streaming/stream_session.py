@@ -788,7 +788,7 @@ def _execute_stream_session(
     """The stream session internals (see :func:`run_stream_session`).
 
     ``backend`` optionally points the per-round shard fan-out at an
-    externally owned worker pool (the serving engine's shared one); the
+    externally owned backend (a serving engine's metered one); the
     choice cannot affect results because task content and merge order
     never depend on physical placement.
     """
@@ -910,7 +910,7 @@ class _StreamRun:
         )
         # Pipelined rounds: on by default whenever the executing backend can
         # actually overlap dispatches with driver work (thread/process pools,
-        # including a serving engine's shared metered pool); ``overlap=False``
+        # including a process-backed serving engine's pool); ``overlap=False``
         # forces serial dispatch, and an inline/serial backend ignores the
         # flag because its dispatches complete at submit time anyway.
         self.overlap = self.pool.supports_overlap and config.overlap is not False

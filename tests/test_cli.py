@@ -249,7 +249,9 @@ def test_serve_json_output(capsys):
     assert len(payload["sessions"]) == 2
     assert all(s["status"] == "completed" for s in payload["sessions"])
     assert payload["service"]["completed"] == 2
-    assert payload["service"]["pool"]["workers"] == 2
+    # The default thread engine runs shard tasks on its drivers, so the
+    # report counts the default --max-inflight 4, not the --shards.
+    assert payload["service"]["pool"]["workers"] == 4
 
 
 def test_serve_workload_file(capsys, tmp_path):

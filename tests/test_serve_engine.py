@@ -2,6 +2,7 @@
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.serve import (
     MiningService,
     SessionSpec,
     TenantPolicy,
+    execute_spec,
 )
 from repro.streaming import run_stream_session
 
@@ -436,7 +438,9 @@ def test_pool_rebuilt_after_close_without_waiting_is_closed_at_settle():
         compute_privacy=False, shards=2,
     )
     source = GatedSource(spec.make_source())
-    service = MiningService(max_inflight=1, shard_workers=2)
+    service = MiningService(
+        max_inflight=1, shard_backend="process", shard_workers=2
+    )
     handle = service.submit(spec, source=source)
     deadline = time.monotonic() + 30
     while handle.poll() != "running" and time.monotonic() < deadline:
@@ -446,3 +450,78 @@ def test_pool_rebuilt_after_close_without_waiting_is_closed_at_settle():
     source.gate.set()
     assert handle.wait(timeout=120) == "completed"
     assert service.pool.inner._pool is None
+
+
+# ----------------------------------------------------------------------
+# an inline engine: each session's shard tasks run on its own driver
+# ----------------------------------------------------------------------
+def test_thread_engine_runs_shard_tasks_on_its_drivers(monkeypatch):
+    """No second pool under the drivers: every transform and predict task
+    runs on the driver thread of its session, and no shard thread starts."""
+    from repro.streaming import stream_session
+
+    callers, alive = [], set()
+
+    def on_the_caller(name):
+        task = getattr(stream_session, name)
+
+        def recorded(*args, **kwargs):
+            callers.append((name, threading.current_thread().name))
+            alive.update(t.name for t in threading.enumerate())
+            return task(*args, **kwargs)
+
+        monkeypatch.setattr(stream_session, name, recorded)
+
+    on_the_caller("transform_window")
+    on_the_caller("predict_window")
+    specs = [
+        replace(spec, shards=2) if spec.kind == "stream" else spec
+        for spec in mixed_workload()
+    ]
+    with MiningService(
+        max_inflight=2, shard_backend="thread", shard_workers=2
+    ) as service:
+        alive.update(t.name for t in threading.enumerate())
+        assert len(service.run(specs)) == len(specs)
+        alive.update(t.name for t in threading.enumerate())
+    assert {name for name, _ in callers} == {"transform_window", "predict_window"}
+    assert all(thread.startswith("repro-serve") for _, thread in callers), callers
+    assert not [name for name in alive if name.startswith("repro-shard")], alive
+
+
+def test_inline_engine_reports_its_drivers_as_workers():
+    """Two sessions running at once on an inline engine: the pool report
+    counts the two drivers and its utilization stays a fraction."""
+    sessions = [gated_spec_and_source(seed=seed) for seed in (0, 1)]
+    with MiningService(
+        max_inflight=2, shard_backend="thread", shard_workers=3
+    ) as service:
+        handles = [service.submit(spec, source=src) for spec, src in sessions]
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and any(
+            handle.poll() != "running" for handle in handles
+        ):
+            time.sleep(0.01)
+        assert [handle.poll() for handle in handles] == ["running"] * 2
+        for _, source in sessions:
+            source.gate.set()
+        for handle in handles:
+            handle.result(timeout=30)
+        stats = service.stats()
+    assert stats.pool.workers == 2
+    assert stats.pool.busy_seconds > 0
+    assert 0.0 < stats.pool.utilization <= 1.0
+    assert stats.pool.busy_seconds <= 2 * stats.elapsed_seconds
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_inline_engines_match_inline_execute_spec(backend):
+    """Inline engines compute what ``execute_spec`` computes alone, and
+    their stream sessions report the dispatch they ran: not overlapped."""
+    specs = mixed_workload()
+    with MiningService(max_inflight=4, shard_backend=backend) as service:
+        served = service.run(specs)
+    for spec, result in zip(specs, served):
+        assert_same_result(spec, result, execute_spec(spec))
+        if spec.kind == "stream":
+            assert result.overlap is False

@@ -6,7 +6,8 @@ files, replica ``submit`` frames and checkpoints.  A knob that only the
 other kind uses is refused by name unless it keeps its default.  Files
 whose spec is in the earlier form (effective values, per-kind keys) still
 resume, and a process replica resumes from the bytes it is sent without
-writing them to a file.
+writing them to a file.  A mapping names its dataset, so an in-memory table
+is written down only when that name loads the same table.
 """
 
 import io
@@ -21,9 +22,10 @@ from hypothesis import strategies as st
 
 from repro.checkpoint import Checkpointer, SessionEvicted
 from repro.cli import _cluster_demo_workload, _demo_workload, build_parser, main
+from repro.cluster import ClusterController
 from repro.cluster.protocol import read_frame, unwrap_response, write_frame
 from repro.cluster.replica import ReplicaServer
-from repro.datasets import DATASET_NAMES
+from repro.datasets import DATASET_NAMES, Dataset, load_dataset
 from repro.datasets.partition import PartitionScheme
 from repro.obs import Telemetry
 from repro.obs.experiment import expand_run_table, load_experiment_config
@@ -340,3 +342,70 @@ def test_a_replica_admits_the_spec_it_is_sent_and_writes_no_file(
     assert [handle.spec for handle in admitted] == [SPEC, SPEC]
     assert _fingerprint(results[0]) == _fingerprint(results[1])
     assert os.listdir(directory) == []
+
+
+# ----------------------------------------------------------------------
+# an in-memory table is written down by name only when its name loads it
+# ----------------------------------------------------------------------
+def _moved_iris():
+    """The registry's iris with its rows reversed and rescaled."""
+    iris = load_dataset("iris")
+    return Dataset("iris", iris.X[::-1] * 2.0, iris.y[::-1], iris.feature_names)
+
+
+def _over(dataset):
+    return SessionSpec(
+        kind="stream", dataset=dataset, windows=4, window_size=32,
+        compute_privacy=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        _moved_iris,
+        lambda: Dataset("nowhere", load_dataset("iris").X, load_dataset("iris").y),
+        lambda: replace(load_dataset("iris"), feature_names=tuple("abcd")),
+        lambda: replace(load_dataset("iris"), y=load_dataset("iris").y + 0.0),
+    ],
+    ids=["other-rows", "unknown-name", "other-features", "other-label-dtype"],
+)
+def test_a_table_its_name_does_not_load_cannot_be_written_down(table):
+    dataset = table()
+    with pytest.raises(ValueError, match=repr(dataset.name)):
+        _over(dataset).to_mapping()
+
+
+def _what_it_saw(result):
+    """The fingerprint plus the per-window accuracies, which the rows set."""
+    return _fingerprint(result), [w.accuracy_perturbed for w in result.windows]
+
+
+def _counts(stats):
+    return (
+        stats.submitted, stats.rejected, stats.active, stats.completed,
+        stats.failed, tuple(replica.submitted for replica in stats.per_replica),
+    )
+
+
+def test_a_spec_that_cannot_be_written_down_is_refused_before_it_counts(
+    tmp_path,
+):
+    spec = _over(_moved_iris())
+    inline = _what_it_saw(execute_spec(spec))
+    # The table matters: the registry's iris under the same spec differs.
+    assert inline != _what_it_saw(execute_spec(_over("iris")))
+    with ClusterController(replicas=1) as cluster:
+        hosted = cluster.submit(spec).result(timeout=120)
+    assert _what_it_saw(hosted) == inline
+    with ClusterController(replicas=1, backend="process") as cluster:
+        before = _counts(cluster.stats())
+        with pytest.raises(ValueError, match="'iris'"):
+            cluster.submit(spec)
+        assert _counts(cluster.stats()) == before
+    with MiningService(max_inflight=1, checkpoint_dir=str(tmp_path)) as service:
+        with pytest.raises(ValueError, match="'iris'"):
+            service.submit(spec)
+        stats = service.stats()
+    assert (stats.submitted, stats.rejected, stats.active) == (0, 0, 0)
+    assert os.listdir(tmp_path) == []

@@ -1,6 +1,6 @@
 """Pipelined-rounds benchmark — overlap vs serial dispatch latency hiding.
 
-Runs the same streaming session twice per configuration over a thread
+Runs the same streaming session twice per configuration over a process
 worker pool: once with ``overlap=False`` (the driver blocks on every
 round's transforms and predictions) and once with ``overlap=True`` (round
 ``N+1``'s transforms and round ``N``'s predictions occupy the pool while
@@ -12,7 +12,8 @@ fingerprint exactly.
 
 On a single hardware core the two dispatch modes collapse to the same
 wall time (there is nobody to overlap *with*); the speedup column is
-meaningful on multi-core hosts.
+meaningful on multi-core hosts.  The process backend is the one that
+pipelines: ``thread``, like ``serial``, runs shard tasks inline.
 
 The sweep itself is ``repro.obs.benches.measure("overlap")``, which
 ``repro experiment gate`` runs too.  Two entry points:

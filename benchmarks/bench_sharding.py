@@ -29,6 +29,7 @@ import os
 import sys
 
 from repro.analysis.reporting import ascii_table, series_block
+from repro.sharding import BACKENDS
 from repro.streaming import StreamConfig, make_stream, run_stream_session
 
 from _util import budget_from_env, save_block
@@ -119,7 +120,7 @@ def main(argv=None):
     parser.add_argument(
         "--backend",
         default="process",
-        choices=["serial", "thread", "process"],
+        choices=list(BACKENDS),
     )
     args = parser.parse_args(argv)
 

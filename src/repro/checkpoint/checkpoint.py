@@ -291,9 +291,11 @@ class Checkpointer:
         Optional :class:`repro.obs.Telemetry`; saves emit a ``checkpoint``
         span and count into ``repro_checkpoints_total{outcome="saved"}``.
     retain:
-        Keep only the newest ``retain`` checkpoint files for this session;
-        older ones are deleted after each successful save.  ``None``
-        (default) keeps every save.
+        Keep only the newest ``retain`` checkpoint files for this label
+        among those at or before the boundary just saved; older ones are
+        deleted after each successful save, and a file with a later
+        boundary (an earlier run's) is never touched.  ``None`` (default)
+        keeps every save.
     """
 
     directory: str
@@ -383,13 +385,16 @@ class Checkpointer:
         self.saved_paths.append(path)
         self.last_path = path
         if self.retain is not None:
-            removed = prune_checkpoints(
-                self.directory, retain=self.retain, label=self.label
-            )
-            if removed:
-                self.saved_paths = [
-                    p for p in self.saved_paths if p not in set(removed)
-                ]
+            # Only boundaries up to this one compete for the kept slots, so
+            # the file just written always stays; a later boundary is an
+            # earlier run's (engine labels restart at 0 in every run).
+            earlier = [
+                p
+                for p in list_checkpoints(self.directory, label=self.label)
+                if _parse_checkpoint_name(os.path.basename(p))[1] <= windows_done
+            ]
+            removed = set(_remove_checkpoints(earlier[: -self.retain]))
+            self.saved_paths = [p for p in self.saved_paths if p not in removed]
         return path
 
 
@@ -438,16 +443,23 @@ def prune_checkpoints(
         by_label.setdefault(name_label, []).append(path)
     removed: List[str] = []
     for paths in by_label.values():
-        for path in paths[:-retain]:
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                continue  # concurrent pruner got there first
-            except OSError as exc:
-                raise CheckpointError(
-                    f"cannot prune checkpoint {path!r}: {exc}"
-                ) from exc
-            removed.append(path)
+        removed += _remove_checkpoints(paths[:-retain])
+    return removed
+
+
+def _remove_checkpoints(paths: List[str]) -> List[str]:
+    """Delete ``paths``; returns the ones this call removed."""
+    removed = []
+    for path in paths:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            continue  # concurrent pruner got there first
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot prune checkpoint {path!r}: {exc}"
+            ) from exc
+        removed.append(path)
     return removed
 
 

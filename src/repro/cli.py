@@ -14,7 +14,7 @@ Usage (after ``pip install -e .``)::
                                    # online SAP over a drifting stream
     repro stream --dataset wine --shards 4 --shard-backend process
                                    # same pipeline, sharded across workers
-    repro stream --dataset wine --shards 4 --shard-backend thread --overlap
+    repro stream --dataset wine --shards 4 --shard-backend process --overlap
                                    # pipelined rounds: round N+1 transforms
                                    # overlap round N predictions
     repro stream --dataset wine --skew 3 --watermark 4 --late-policy readmit
@@ -381,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-backend",
         default="serial",
         choices=list(BACKENDS),
-        help="executor running the shard tasks (results are identical)",
+        help="where shard tasks run: serial and thread both mean inline on "
+        "the driver thread, process on a pool of --shards workers (results "
+        "are identical)",
     )
     p.add_argument(
         "--shard-plan",
@@ -393,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--overlap",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="pipeline rounds over the worker pool (default: on for "
-        "thread/process backends, ignored for serial; results are "
-        "identical either way)",
+        help="pipeline rounds over the worker pool (default: on for the "
+        "process backend, ignored for serial and thread, which run shard "
+        "tasks inline; results are identical either way)",
     )
     p.add_argument(
         "--trust-change",

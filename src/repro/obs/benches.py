@@ -70,7 +70,7 @@ def _render(
 
 
 def _overlap(quick: bool) -> Measurement:
-    """Serial vs pipelined round dispatch over a thread pool, per shard count."""
+    """Serial vs pipelined round dispatch over a process pool, per shard count."""
     from ..streaming import StreamConfig, make_stream, run_stream_session
 
     n_windows, window_size, shard_levels = (
@@ -86,7 +86,7 @@ def _overlap(quick: bool) -> Measurement:
             window_size=window_size,
             compute_privacy=False,
             shards=shards,
-            shard_backend="thread",
+            shard_backend="process",
             overlap=overlap,
             seed=0,
         )
@@ -96,6 +96,7 @@ def _overlap(quick: bool) -> Measurement:
 
     metrics: Dict[str, Any] = {
         "n_windows": n_windows, "window_size": window_size, "quick": quick,
+        "backend": "process",
     }
     rows = []
     for shards in shard_levels:
@@ -120,7 +121,7 @@ def _overlap(quick: bool) -> Measurement:
     return Measurement(
         _render(
             "Pipelined rounds - overlap vs serial dispatch",
-            f"wine, {n_windows}x{window_size}, thread pool",
+            f"wine, {n_windows}x{window_size}, process pool",
             quick,
             ["shards", "serial rec/s", "overlap rec/s", "speedup", "identical"],
             rows,

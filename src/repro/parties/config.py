@@ -140,8 +140,9 @@ class SAPConfig:
         time, so a lossy or partitioned deployment terminates cleanly
         instead of stalling forever.
     shards / shard_backend:
-        Worker-shard count and executor backend (``"serial"``,
-        ``"thread"``, or ``"process"``; see :mod:`repro.sharding`) used for
+        Worker-shard count and executor backend (``"serial"`` and
+        ``"thread"`` run inline on the calling thread, ``"process"`` on a
+        pool of ``shards`` workers; see :mod:`repro.sharding`) used for
         the embarrassingly parallel tails of the session — currently the
         per-party privacy/risk profiling of ``compute_privacy`` runs.
         Results are identical for every choice; the default is the

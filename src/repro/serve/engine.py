@@ -540,11 +540,10 @@ class MiningService:
         Where every session's shard tasks run, overriding the per-spec
         ``shard_backend``, which is sound because session results are
         backend-independent.  ``process`` is one shared pool of
-        ``shard_workers`` processes (default ``max_inflight``).
-        ``serial`` and ``thread`` mean the same here: each session runs
-        its tasks inline on its own driver thread, because the drivers
-        already are the engine's threads, so ``shard_workers`` sizes
-        only a process pool.
+        ``shard_workers`` processes (default ``max_inflight``).  Under
+        ``serial`` or ``thread`` each session runs its tasks inline on
+        its own driver thread (see :mod:`repro.sharding.backends`), so
+        ``shard_workers`` sizes only a process pool.
     tenants:
         Optional ``{tenant: TenantPolicy}`` budgets; unlisted tenants are
         unbounded.
@@ -589,14 +588,12 @@ class MiningService:
         if workers < 1:
             raise ValueError("shard_workers must be a positive integer")
         require_choice("shard backend", shard_backend, BACKENDS)
-        if shard_backend == "process":
-            self.pool = MeteredBackend(make_backend(shard_backend, workers))
-        else:
-            # The drivers already are this engine's thread pool: a second
-            # pool under them adds interpreter-lock handoffs and no
-            # parallelism, so a thread engine runs each session's shard
-            # tasks on its own driver, as a serial engine does.
-            self.pool = MeteredBackend(make_backend("serial"), max_inflight)
+        backend = make_backend(shard_backend, workers)
+        # An inline backend runs each session's shard tasks on its own
+        # driver, so the drivers are the threads the meter counts.
+        self.pool = MeteredBackend(
+            backend, None if backend.supports_overlap else max_inflight
+        )
         # Pre-fork/pre-start the shared pool's workers from this thread,
         # before any driver threads exist: forking a multi-threaded process
         # can leave child workers holding another thread's locks.

@@ -9,8 +9,9 @@ supplies the missing engine:
 * :mod:`~repro.sharding.plan` — :class:`ShardPlan`, deterministic
   hash/round-robin/per-party assignment of windows, records, and batches
   to N logical shards;
-* :mod:`~repro.sharding.backends` — interchangeable serial / thread-pool /
-  process-pool executors with order-preserving ``map``;
+* :mod:`~repro.sharding.backends` — interchangeable inline and
+  process-pool executors with order-preserving ``map`` (the names
+  ``serial`` and ``thread`` both run tasks on the caller's thread);
 * :mod:`~repro.sharding.worker` — the pure, picklable task functions
   (stacked-matmul window transform, snapshot prediction, per-party risk
   profiling);
@@ -33,7 +34,6 @@ from .backends import (
     SerialBackend,
     ShardBackend,
     ShardFutures,
-    ThreadBackend,
     make_backend,
 )
 from .engine import DataPlane, DataPlaneState, ShardPool
@@ -47,7 +47,6 @@ __all__ = [
     "ShardBackend",
     "ShardFutures",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "MeteredBackend",
     "make_backend",

@@ -1,19 +1,21 @@
 """Worker-pool executors behind the sharded engine.
 
-Three interchangeable backends run the per-shard task functions of
-:mod:`repro.sharding.worker`:
+Two executors run the per-shard task functions of
+:mod:`repro.sharding.worker`, under three names:
 
-* :class:`SerialBackend` — runs tasks inline, in submission order.  The
-  deterministic reference: every other backend must produce byte-identical
-  results (guaranteed because tasks are pure functions of their arguments
-  and results are always collected in submission order).
-* :class:`ThreadBackend` — ``concurrent.futures.ThreadPoolExecutor``.
-  Cheap to spin up and effective when tasks spend their time inside numpy
-  (which releases the GIL for BLAS work).
+* :class:`SerialBackend` — runs tasks inline on the caller's thread, in
+  submission order: the deterministic reference, which the pool must
+  match byte for byte (tasks are pure functions of their arguments, and
+  results are always collected in submission order).  The names
+  ``serial`` and ``thread`` both build it, in every layer: a standalone
+  session, a serving engine's drivers and a cluster replica.  The shard
+  tasks are numpy calls on a few columns that hold the interpreter lock,
+  so a thread pool added handoffs and no parallelism.
 * :class:`ProcessBackend` — ``concurrent.futures.ProcessPoolExecutor``.
   True multi-core parallelism; tasks and results cross a pickle boundary,
   so task functions must be module-level and arguments picklable (the
-  worker module is written to that contract).
+  worker module is written to that contract).  It is the one backend
+  whose dispatches overlap the caller's work.
 
 All backends expose the same operations — ordered :meth:`map`, its
 asynchronous sibling :meth:`submit_map` (which returns a gatherable
@@ -52,7 +54,7 @@ from __future__ import annotations
 import abc
 import threading
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 __all__ = [
@@ -60,7 +62,6 @@ __all__ = [
     "ShardFutures",
     "ShardBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "MeteredBackend",
     "make_backend",
@@ -97,7 +98,7 @@ class ShardFutures:
         """Invoke ``callback`` exactly once when every task has settled.
 
         Settled means finished, failed, or cancelled.  The callback may
-        run on a worker thread (pool backends) or inline (completed
+        run on the process pool's thread or inline (completed
         handles); metering uses it to close a dispatch's busy span when
         the work actually ends rather than when the driver gathers.
         """
@@ -190,8 +191,8 @@ class ShardBackend(abc.ABC):
 
         The base implementation runs the tasks inline and hands back an
         already-completed handle — correct for any backend, overlapping
-        for none.  Pool backends override it with a real asynchronous
-        dispatch.
+        for none.  The process backend overrides it with a real
+        asynchronous dispatch.
         """
         return _CompletedFutures(self.map(fn, tasks))
 
@@ -232,9 +233,10 @@ class SerialBackend(ShardBackend):
         return [fn(task) for task in tasks]
 
 
-class _PoolBackend(ShardBackend):
-    """Shared submit/collect logic for the two ``concurrent.futures`` pools."""
+class ProcessBackend(ShardBackend):
+    """Process-pool execution; requires picklable tasks and results."""
 
+    name = "process"
     supports_overlap = True
 
     def __init__(self, n_workers: int) -> None:
@@ -245,7 +247,17 @@ class _PoolBackend(ShardBackend):
         self._lock = threading.Lock()
 
     def _make_pool(self) -> Executor:
-        raise NotImplementedError
+        """Build the executor; the one place that picks its kind."""
+        return ProcessPoolExecutor(max_workers=self.n_workers)
+
+    def _executor(self) -> Executor:
+        """The executor, built on first use (after a close, anew)."""
+        with self._lock:
+            # Concurrent session drivers may race to the first dispatch;
+            # only one of them must build the executor.
+            if self._pool is None:
+                self._pool = self._make_pool()
+            return self._pool
 
     def submit_map(
         self, fn: Callable[[_Task], _Result], tasks: Sequence[_Task]
@@ -253,12 +265,7 @@ class _PoolBackend(ShardBackend):
         """Submit all tasks and return the in-flight dispatch handle."""
         if not tasks:
             return _CompletedFutures([])
-        with self._lock:
-            # Concurrent session drivers may race to the first dispatch;
-            # only one of them must build the executor.
-            if self._pool is None:
-                self._pool = self._make_pool()
-            pool = self._pool
+        pool = self._executor()
         return _PoolFutures([pool.submit(fn, task) for task in tasks])
 
     def map(
@@ -278,36 +285,13 @@ class _PoolBackend(ShardBackend):
         """Build the executor and pre-start its workers, on this thread.
 
         Executors start workers lazily at submit time, so warming submits
-        one no-op per worker — a process pool forks every child here,
-        before the owner spins up any other threads.
+        one no-op per worker — every child forks here, before the owner
+        spins up any other threads.
         """
-        with self._lock:
-            if self._pool is None:
-                self._pool = self._make_pool()
-            pool = self._pool
+        pool = self._executor()
         futures = [pool.submit(_warm_noop) for _ in range(self.n_workers)]
         for future in futures:
             future.result()
-
-
-class ThreadBackend(_PoolBackend):
-    """Thread-pool execution; parallel where numpy releases the GIL."""
-
-    name = "thread"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="repro-shard"
-        )
-
-
-class ProcessBackend(_PoolBackend):
-    """Process-pool execution; requires picklable tasks and results."""
-
-    name = "process"
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.n_workers)
 
 
 class _MeteredFutures(ShardFutures):
@@ -483,16 +467,14 @@ class MeteredBackend(ShardBackend):
 def make_backend(kind: str, n_workers: Optional[int] = None) -> ShardBackend:
     """Factory keyed by backend name.
 
-    ``n_workers`` defaults to the shard count the engine passes in; it is
-    ignored by the serial backend.
+    ``serial`` and ``thread`` both build the inline :class:`SerialBackend`
+    (see the module docstring); ``n_workers`` sizes only the process pool
+    and defaults to 1.
     """
-    if kind == "serial":
+    if kind in ("serial", "thread"):
         return SerialBackend()
-    workers = 1 if n_workers is None else n_workers
-    if kind == "thread":
-        return ThreadBackend(workers)
     if kind == "process":
-        return ProcessBackend(workers)
+        return ProcessBackend(1 if n_workers is None else n_workers)
     raise ValueError(
         f"unknown shard backend {kind!r}; available: {', '.join(BACKENDS)}"
     )

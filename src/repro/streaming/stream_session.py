@@ -38,8 +38,8 @@ model updates — stay on the driver in window order, which is why the
 results are bit-identical for every ``(shards, backend, plan)`` choice;
 ``shards=1`` on the serial backend is simply the degenerate round size.
 
-Rounds are **pipelined** (``config.overlap``, default on for pool
-backends): the driver dispatches a round's transforms asynchronously
+Rounds are **pipelined** (``config.overlap``, default on for the process
+backend): the driver dispatches a round's transforms asynchronously
 (:meth:`~repro.sharding.ShardBackend.submit_map`), runs the next round's
 control plane while they execute, and gathers in strict round order — a
 double-buffered pipeline where round ``N+1``'s transforms and round
@@ -179,7 +179,8 @@ class StreamConfig:
         the pool.  Results are bit-identical for every shard count.
     shard_backend:
         ``"serial"``, ``"thread"``, or ``"process"`` — see
-        :mod:`repro.sharding.backends`.
+        :mod:`repro.sharding.backends`.  ``serial`` and ``thread`` both
+        run shard tasks inline on the driver's thread.
     shard_plan:
         ``"round_robin"``, ``"hash"``, or ``"party"`` — see
         :class:`repro.sharding.ShardPlan`.  Affects placement and
@@ -190,10 +191,10 @@ class StreamConfig:
         round ``N``'s predictions are still in flight, hiding driver
         control-plane latency behind the worker pool (double-buffered
         rounds).  ``None`` — the default — enables the pipeline whenever
-        the executing backend can actually overlap work (thread/process
-        pools); ``True``/``False`` force it.  On the serial backend the
-        flag is ignored: dispatches run inline, so the pipeline
-        degenerates to serial execution either way.  Results are
+        the executing backend can actually overlap work (a process
+        pool); ``True``/``False`` force it.  Under ``serial`` and
+        ``thread`` the flag is ignored: dispatches run inline, so the
+        pipeline degenerates to serial execution either way.  Results are
         bit-identical with and without overlap — execution may reorder,
         merge order never does.
     watermark_delay:
@@ -909,10 +910,10 @@ class _StreamRun:
             self.plan, config.shard_backend if backend is None else backend
         )
         # Pipelined rounds: on by default whenever the executing backend can
-        # actually overlap dispatches with driver work (thread/process pools,
-        # including a process-backed serving engine's pool); ``overlap=False``
-        # forces serial dispatch, and an inline/serial backend ignores the
-        # flag because its dispatches complete at submit time anyway.
+        # actually overlap dispatches with driver work (a process pool, also
+        # a process-backed serving engine's); ``overlap=False`` forces serial
+        # dispatch, and an inline backend (``serial`` or ``thread``) ignores
+        # the flag because its dispatches complete at submit time anyway.
         self.overlap = self.pool.supports_overlap and config.overlap is not False
 
     # ------------------------------------------------------------------

@@ -9,6 +9,17 @@ from repro.core.normalization import MinMaxNormalizer
 from repro.datasets.schema import Dataset
 
 
+@pytest.fixture(scope="module")
+def thread_pool():
+    """A pipelining shard backend whose workers are threads: sessions pass
+    it to ``execute_spec(spec, backend=...)`` to run overlapped rounds
+    without forking a process pool each."""
+    from tests.test_sharding_backends import ThreadPoolBackend
+
+    with ThreadPoolBackend(4) as pool:
+        yield pool
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A fresh seeded generator per test."""

@@ -25,7 +25,7 @@ from repro.checkpoint import (
     save_checkpoint,
 )
 from repro.cli import main
-from repro.serve import MiningService, SessionSpec
+from repro.serve import MiningService, SessionSpec, execute_spec
 from repro.streaming import (
     IngestPlane,
     OnlineLinearSVM,
@@ -59,7 +59,10 @@ def _fingerprint(result):
     }
 
 
-def _run(source_seed=3, checkpointer=None, resume_from=None, **knobs):
+def _run(
+    source_seed=3, checkpointer=None, resume_from=None, pool=None, **knobs
+):
+    """One session; ``pool`` runs its shard tasks on an outside backend."""
     source = make_stream(
         "iris", kind=knobs.pop("stream", "abrupt"), n_records=6 * 32,
         seed=source_seed,
@@ -67,8 +70,9 @@ def _run(source_seed=3, checkpointer=None, resume_from=None, **knobs):
     config = StreamConfig(
         k=3, window_size=32, compute_privacy=False, seed=7, **knobs
     )
-    return run_stream_session(
-        source, config, checkpointer=checkpointer, resume_from=resume_from
+    return execute_spec(
+        SessionSpec.from_stream(source, config), backend=pool, source=source,
+        checkpointer=checkpointer, resume_from=resume_from,
     )
 
 
@@ -83,7 +87,7 @@ def _kill_and_resume(directory, stop_after=3, **knobs):
 # ----------------------------------------------------------------------
 # the bit-identity property, swept
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 @pytest.mark.parametrize("shards", [1, 4])
 def test_restore_bit_identical_across_backends_and_shards(
     tmp_path, backend, shards
@@ -92,60 +96,66 @@ def test_restore_bit_identical_across_backends_and_shards(
     unbroken = _fingerprint(_run(**knobs))
     resumed = _kill_and_resume(tmp_path, **knobs)
     assert _fingerprint(resumed) == unbroken
+    assert resumed.overlap is (backend == "process")
 
 
 @pytest.mark.parametrize("stop_after", [1, 2, 4])
 def test_restore_bit_identical_at_any_kill_round(tmp_path, stop_after):
-    knobs = dict(shards=2, shard_backend="thread")
+    knobs = dict(shards=2, shard_backend="process")
     unbroken = _fingerprint(_run(**knobs))
     resumed = _kill_and_resume(tmp_path, stop_after=stop_after, **knobs)
+    assert resumed.overlap is True
     assert _fingerprint(resumed) == unbroken
 
 
 @pytest.mark.parametrize("plan", ["hash", "party"])
-def test_restore_bit_identical_across_plans(tmp_path, plan):
-    knobs = dict(shards=4, shard_backend="thread", shard_plan=plan)
+def test_restore_bit_identical_across_plans(tmp_path, thread_pool, plan):
+    knobs = dict(shards=4, shard_plan=plan, pool=thread_pool)
     unbroken = _fingerprint(_run(**knobs))
     resumed = _kill_and_resume(tmp_path, **knobs)
+    assert resumed.overlap is True
     assert _fingerprint(resumed) == unbroken
 
 
 @pytest.mark.parametrize("late_policy", ["drop", "readmit", "upsert"])
-def test_restore_bit_identical_under_skew(tmp_path, late_policy):
+def test_restore_bit_identical_under_skew(tmp_path, thread_pool, late_policy):
     """Out-of-order arrivals: gates, pending buffers, and watermarks all
     cross the checkpoint and must land back exactly."""
     knobs = dict(
-        shards=4, shard_backend="thread", skew=8, watermark_delay=1,
-        late_policy=late_policy,
+        shards=4, skew=8, watermark_delay=1, late_policy=late_policy,
+        pool=thread_pool,
     )
     unbroken = _run(**knobs)
     assert unbroken.ingest.late > 0  # the sweep actually exercised lateness
     resumed = _kill_and_resume(tmp_path, **knobs)
+    assert resumed.overlap is True
     assert _fingerprint(resumed) == _fingerprint(unbroken)
 
 
-def test_restore_bit_identical_across_renegotiations(tmp_path):
+def test_restore_bit_identical_across_renegotiations(tmp_path, thread_pool):
     """Kill between two trust changes: epoch state, adaptor cache, and the
     remaining re-negotiation schedule must all survive the restore."""
     changes = (TrustChange(window=1, party=0, trust=0.5),
                TrustChange(window=3, party=1, trust=0.25))
     knobs = dict(
-        stream="gradual", shards=2, shard_backend="thread",
+        stream="gradual", shards=2, pool=thread_pool,
         trust_changes=changes, readapt_cooldown=1,
     )
     unbroken = _run(**knobs)
     assert len(unbroken.events) >= 3  # initial + both trust renegotiations
     resumed = _kill_and_resume(tmp_path, stop_after=2, **knobs)
+    assert resumed.overlap is True
     assert _fingerprint(resumed) == _fingerprint(unbroken)
 
 
-def test_periodic_checkpointing_does_not_perturb_result(tmp_path):
+def test_periodic_checkpointing_does_not_perturb_result(tmp_path, thread_pool):
     """Saving every boundary (without ever evicting) must be invisible:
     the drain it forces changes execution overlap, never merge order."""
-    knobs = dict(shards=2, shard_backend="thread")
+    knobs = dict(shards=2, pool=thread_pool)
     unbroken = _fingerprint(_run(**knobs))
     checkpointer = Checkpointer(directory=str(tmp_path), every=1)
     checked = _run(checkpointer=checkpointer, **knobs)
+    assert checked.overlap is True
     assert _fingerprint(checked) == unbroken
     assert len(checkpointer.saved_paths) >= 2
 
@@ -261,10 +271,12 @@ def test_undamaged_wine_checkpoint_resumes(evicted_wine, capsys):
     assert '"records_processed": 384' in capsys.readouterr().out
 
 
-def test_reservoir_labels_saved_as_lists_resume_bit_identically(tmp_path):
+def test_reservoir_labels_saved_as_lists_resume_bit_identically(
+    tmp_path, thread_pool
+):
     """Files whose reservoir labels are lists of numpy scalars, as older
     builds wrote them, still resume to the uninterrupted result."""
-    knobs = dict(shards=2, shard_backend="thread")
+    knobs = dict(shards=2, pool=thread_pool)
     unbroken = _fingerprint(_run(**knobs))
     checkpointer = Checkpointer(directory=str(tmp_path), stop_after=3)
     with pytest.raises(SessionEvicted) as excinfo:
@@ -471,6 +483,29 @@ def test_checkpointer_retain_keeps_only_newest_files(tmp_path):
     # The survivors are real checkpoints, not husks.
     for path in kept:
         assert load_checkpoint(path).payload["progress"]["windows"] > 0
+
+
+def test_checkpointer_retain_never_deletes_the_file_it_just_wrote(tmp_path):
+    """An earlier run left files of the same label with later boundaries:
+    retention keeps the newest of the boundaries up to the one just saved
+    and never touches a later one."""
+    from repro.checkpoint import list_checkpoints
+
+    for windows in (118, 119):
+        (tmp_path / f"session-0-w{windows:05d}.ckpt").write_bytes(b"earlier")
+    checkpointer = Checkpointer(
+        directory=str(tmp_path), label="session-0", retain=2
+    )
+    for windows in (3, 5, 7):
+        path = checkpointer.save({"progress": {"windows": windows}})
+    assert path.endswith("session-0-w00007.ckpt") and os.path.exists(path)
+    assert [os.path.basename(p) for p in checkpointer.saved_paths] == [
+        "session-0-w00005.ckpt", "session-0-w00007.ckpt"
+    ]
+    assert [os.path.basename(p) for p in list_checkpoints(str(tmp_path))] == [
+        "session-0-w00005.ckpt", "session-0-w00007.ckpt",
+        "session-0-w00118.ckpt", "session-0-w00119.ckpt",
+    ]
 
 
 def test_checkpointer_retain_validation(tmp_path):

@@ -237,6 +237,38 @@ def test_migrate_to_full_destination_reenters_admission_queue(tmp_path):
     _assert_conserved(stats)
 
 
+def test_directories_reused_from_an_earlier_run_keep_fresh_checkpoints(
+    tmp_path,
+):
+    """Engine labels restart at 0 in every run, so a reused directory holds
+    an earlier run's files under the same label with later boundaries:
+    retention must keep the eviction checkpoint it just wrote, the
+    migrated session must still equal the single engine, and the earlier
+    files stay untouched."""
+    spec = _stream_spec(windows=20)
+    unbroken = _single_engine(spec)
+    planted = []
+    for index in (0, 1):
+        directory = tmp_path / f"replica-{index}"
+        directory.mkdir()
+        for windows in (118, 119):
+            path = directory / f"session-0-w{windows:05d}.ckpt"
+            path.write_bytes(b"an earlier run's checkpoint")
+            planted.append(path)
+    with ClusterController(
+        replicas=2, checkpoint_dir=str(tmp_path), checkpoint_retain=2
+    ) as cluster:
+        session = cluster.submit(spec, checkpoint_every=1, replica=0)
+        landed = cluster.migrate(session.session_id, 1)
+        result = session.result(timeout=120)
+        stats = cluster.stats()
+    assert landed == 1
+    assert _fingerprint(result) == _fingerprint(unbroken)
+    assert stats.migrations == 1 and stats.completed == 1
+    _assert_conserved(stats)
+    assert all(path.exists() for path in planted)
+
+
 def test_migrate_with_bounded_queue_bounces_back_to_source(tmp_path):
     """If the destination refuses admission outright, the session bounces
     back to its source replica and still finishes bit-identically."""

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,13 +13,31 @@ from repro.sharding import (
     SerialBackend,
     ShardPool,
     ShardPlan,
-    ThreadBackend,
     make_backend,
 )
 from repro.sharding.worker import transform_window
 
 
+class ThreadPoolBackend(ProcessBackend):
+    """The pool backend on worker threads instead of processes.
+
+    Same dispatch, gather, cancel and close code as the process pool, but
+    tasks may be closures and a pool costs no fork, so tests can pipeline
+    sessions and probe dispatch timing cheaply.
+    """
+
+    name = "thread-pool"
+
+    def _make_pool(self):
+        return ThreadPoolExecutor(max_workers=self.n_workers)
+
+
 def _square(task):
+    return task * task
+
+
+def _slow_square(task):
+    time.sleep(0.2)
     return task * task
 
 
@@ -28,7 +47,7 @@ def test_serial_backend_preserves_order():
     ]
 
 
-@pytest.mark.parametrize("backend_cls", [ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("backend_cls", [ThreadPoolBackend, ProcessBackend])
 def test_pool_backends_match_serial(backend_cls):
     tasks = list(range(20))
     expected = SerialBackend().map(_square, tasks)
@@ -46,11 +65,17 @@ def test_make_backend_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_backend("gpu")
     with pytest.raises(ValueError):
-        ThreadBackend(0)
+        ProcessBackend(0)
+
+
+def test_thread_names_the_inline_backend():
+    """``thread`` runs tasks on the caller's thread, as ``serial`` does."""
+    assert isinstance(make_backend("thread", 4), SerialBackend)
+    assert not make_backend("thread", 4).supports_overlap
 
 
 def test_pool_survives_close_and_reuse():
-    backend = ThreadBackend(2)
+    backend = ThreadPoolBackend(2)
     assert backend.map(_square, [1, 2]) == [1, 4]
     backend.close()
     backend.close()  # idempotent
@@ -77,7 +102,7 @@ def test_submit_map_gathers_in_task_order(kind):
 
 
 def test_submit_map_empty_tasks():
-    with ThreadBackend(2) as backend:
+    with ThreadPoolBackend(2) as backend:
         handle = backend.submit_map(_square, [])
         assert handle.done() and handle.gather() == []
 
@@ -90,13 +115,25 @@ def test_submit_map_overlaps_with_driver_work():
         assert gate.wait(timeout=30)
         return task * task
 
-    with ThreadBackend(2) as backend:
+    with ThreadPoolBackend(2) as backend:
         assert backend.supports_overlap
         handle = backend.submit_map(wait_then_square, [1, 2])
         assert not handle.done()  # tasks are parked on the gate
         gate.set()  # "driver work" done; now gather
         assert handle.gather() == [1, 4]
     assert not SerialBackend().supports_overlap
+
+
+def test_process_submit_map_returns_before_its_tasks_finish():
+    """The process pool is the backend that overlaps: a slow dispatch is
+    still running when ``submit_map`` returns, and gathers in order."""
+    with ProcessBackend(2) as backend:
+        assert backend.supports_overlap
+        backend.warm()  # time the dispatch, not the fork
+        handle = backend.submit_map(_slow_square, [3, 1, 2])
+        assert not handle.done()
+        assert handle.gather() == [9, 1, 4]
+        assert handle.done()
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +151,7 @@ def test_map_cancels_outstanding_tasks_on_first_failure():
         return task
 
     n_tasks = 64
-    with ThreadBackend(2) as backend:
+    with ThreadPoolBackend(2) as backend:
         with pytest.raises(RuntimeError, match="poisoned task"):
             backend.map(poisoned, list(range(n_tasks)))
     # While task 0 ran (and failed), the second worker got through at most
@@ -148,7 +185,7 @@ def _nap(seconds):
 def test_metered_busy_time_counts_concurrent_spans_once():
     """Overlapping dispatches from many drivers share the pool's capacity
     in the ledger instead of being double-counted — utilization <= 1."""
-    metered = MeteredBackend(ThreadBackend(2))
+    metered = MeteredBackend(ThreadPoolBackend(2))
     began = time.perf_counter()
     drivers = [
         threading.Thread(target=lambda: metered.map(_nap, [0.03, 0.03]))
@@ -172,7 +209,7 @@ def test_metered_busy_time_counts_concurrent_spans_once():
 def test_metered_accounts_async_spans_from_submit():
     """An async dispatch is busy from submit on, not just while a driver
     blocks inside map()."""
-    metered = MeteredBackend(ThreadBackend(2))
+    metered = MeteredBackend(ThreadPoolBackend(2))
     handle = metered.submit_map(_nap, [0.05])
     time.sleep(0.02)  # driver-side work while the task runs
     assert metered.batches_dispatched == 0  # span still open
@@ -187,7 +224,7 @@ def test_metered_accounts_async_spans_from_submit():
 def test_metered_span_closes_when_work_ends_not_at_late_gather():
     """A handle the driver is slow to gather must not count idle workers
     as busy: the span closes when the last task settles."""
-    metered = MeteredBackend(ThreadBackend(2))
+    metered = MeteredBackend(ThreadPoolBackend(2))
     handle = metered.submit_map(_nap, [0.02])
     time.sleep(0.15)  # work finished long ago; the driver dawdles
     assert handle.gather() == [0.02]
@@ -197,7 +234,7 @@ def test_metered_span_closes_when_work_ends_not_at_late_gather():
 
 def test_metered_span_settles_exactly_once():
     """gather() and cancel() on the same handle close its span once."""
-    metered = MeteredBackend(ThreadBackend(2))
+    metered = MeteredBackend(ThreadPoolBackend(2))
     handle = metered.submit_map(_square, [1, 2])
     assert handle.gather() == [1, 4]
     handle.cancel()  # racing/late cancellers must not re-close the span
@@ -208,7 +245,7 @@ def test_metered_span_settles_exactly_once():
 
 
 def test_metered_empty_dispatch_opens_no_span():
-    metered = MeteredBackend(ThreadBackend(2))
+    metered = MeteredBackend(ThreadPoolBackend(2))
     handle = metered.submit_map(_square, [])
     time.sleep(0.02)  # a phantom span would integrate over this wait
     assert handle.gather() == []

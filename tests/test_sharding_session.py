@@ -1,16 +1,23 @@
 """Sharded stream sessions: bit-identical results, complete accounting."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import SAPConfig, load_dataset, run_sap_session
+from repro.serve import SessionSpec, execute_spec
 from repro.streaming import StreamConfig, make_stream, run_stream_session
 
 N_WINDOWS = 8
 WINDOW = 32
 
 
-def run(shards=1, backend="serial", plan="round_robin", kind="abrupt", **overrides):
+def run(
+    shards=1, backend="serial", plan="round_robin", kind="abrupt", pool=None,
+    **overrides,
+):
+    """One session; ``pool`` runs its shard tasks on an outside backend."""
     source = make_stream(
         "iris", kind=kind, n_records=N_WINDOWS * WINDOW, seed=0
     )
@@ -24,7 +31,8 @@ def run(shards=1, backend="serial", plan="round_robin", kind="abrupt", **overrid
         seed=0,
         **overrides,
     )
-    return run_stream_session(source, config)
+    spec = SessionSpec.from_stream(source, config)
+    return execute_spec(spec, backend=pool, source=source)
 
 
 def assert_identical(a, b):
@@ -53,15 +61,19 @@ def test_four_process_shards_match_single_shard(reference):
 
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 def test_backends_bit_identical(reference, backend):
-    assert_identical(run(shards=2, backend=backend), reference)
+    result = run(shards=2, backend=backend)
+    assert_identical(result, reference)
+    assert result.overlap is (backend == "process")
 
 
 @pytest.mark.parametrize("plan", ["round_robin", "hash", "party"])
-def test_plans_never_change_results(reference, plan):
-    assert_identical(run(shards=3, backend="thread", plan=plan), reference)
+def test_plans_never_change_results(reference, thread_pool, plan):
+    result = run(shards=3, plan=plan, pool=thread_pool)
+    assert result.overlap is True
+    assert_identical(result, reference)
 
 
-def test_sharding_composes_with_session_features(reference):
+def test_sharding_composes_with_session_features(reference, thread_pool):
     """Sliding windows, zscore normalizer, SVM miner, trust changes — the
     sharded path must agree with the serial one under every feature combo."""
     from repro.streaming import TrustChange
@@ -74,7 +86,8 @@ def test_sharding_composes_with_session_features(reference):
         trust_changes=(TrustChange(window=5, party=1, trust=0.5),),
     )
     serial = run(shards=1, backend="serial", **overrides)
-    sharded = run(shards=4, backend="thread", **overrides)
+    sharded = run(shards=4, pool=thread_pool, **overrides)
+    assert sharded.overlap is True
     assert_identical(sharded, serial)
     assert any(e.reason == "trust" for e in sharded.events)
 
@@ -108,9 +121,10 @@ def test_shard_records_follow_the_plan():
 
 
 def test_summary_reports_sharding():
-    result = run(shards=2, backend="thread")
+    result = run(shards=2, backend="process")
     text = result.summary()
-    assert "shards" in text and "thread" in text
+    assert "shards" in text and "process backend" in text
+    assert "pipelined dispatch" in text
     assert "shard traffic" in text
 
 
@@ -137,6 +151,28 @@ def test_config_validates_sharding_fields():
         SAPConfig(shards=0)
     with pytest.raises(ValueError):
         SAPConfig(shard_backend="gpu")
+
+
+def test_batch_thread_backend_profiles_on_the_calling_thread(monkeypatch):
+    """``thread`` names the inline backend in the batch session too: every
+    per-party risk task runs on the caller's thread."""
+    from repro.core import session
+
+    callers = []
+    task = session.party_risk_task
+
+    def recorded(*args, **kwargs):
+        callers.append(threading.current_thread())
+        return task(*args, **kwargs)
+
+    monkeypatch.setattr(session, "party_risk_task", recorded)
+    result = run_sap_session(
+        load_dataset("iris"),
+        SAPConfig(k=3, seed=1, shards=3, shard_backend="thread"),
+        compute_privacy=True,
+    )
+    assert len(result.risk_profiles) == 3
+    assert callers == [threading.current_thread()] * 3
 
 
 def test_batch_privacy_profiles_identical_across_backends():

@@ -14,8 +14,8 @@ import json
 import pytest
 
 from repro.obs import Telemetry
-from repro.serve import MiningService, SessionSpec
-from repro.streaming import StreamConfig, make_stream, run_stream_session
+from repro.serve import MiningService, SessionSpec, execute_spec
+from repro.streaming import StreamConfig, make_stream
 
 
 def _fingerprint(result):
@@ -34,30 +34,33 @@ def _fingerprint(result):
     }
 
 
-def _run(telemetry=None, **knobs):
+def _run(telemetry=None, pool=None, **knobs):
+    """One session; ``pool`` runs its shard tasks on an outside backend."""
     source = make_stream("iris", kind="abrupt", n_records=6 * 32, seed=3)
     config = StreamConfig(
         k=3, window_size=32, compute_privacy=False, seed=7,
         telemetry=telemetry, **knobs,
     )
-    return run_stream_session(source, config)
+    spec = SessionSpec.from_stream(source, config)
+    return execute_spec(spec, backend=pool, source=source)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 def test_fingerprints_identical_with_telemetry_on_off_absent(backend):
     knobs = dict(shards=4, shard_backend=backend)
-    absent = _fingerprint(_run(**knobs))
-    disabled = _fingerprint(_run(telemetry=Telemetry.disabled(), **knobs))
-    recording = _fingerprint(_run(telemetry=Telemetry.in_memory(), **knobs))
-    assert disabled == absent
-    assert recording == absent
+    absent = _run(**knobs)
+    disabled = _run(telemetry=Telemetry.disabled(), **knobs)
+    recording = _run(telemetry=Telemetry.in_memory(), **knobs)
+    assert _fingerprint(disabled) == _fingerprint(absent)
+    assert _fingerprint(recording) == _fingerprint(absent)
+    assert recording.overlap is (backend == "process")
 
 
 @pytest.fixture(scope="module")
-def overlap_telemetry():
+def overlap_telemetry(thread_pool):
     """One recorded overlap run: (telemetry bundle, spans, result)."""
     tel = Telemetry.in_memory()
-    result = _run(telemetry=tel, shards=4, shard_backend="thread", overlap=True)
+    result = _run(telemetry=tel, shards=4, overlap=True, pool=thread_pool)
     tel.close()
     return tel, tel.tracer.sink.spans, result
 

@@ -186,7 +186,7 @@ def test_skewed_session_identical_across_shard_counts_and_backends():
         event_config(skew=12, watermark_delay=4, late_policy="readmit"),
     )
     assert reference.ingest.late > 0  # the scenario actually exercises lateness
-    for shards, backend in ((3, "serial"), (4, "thread")):
+    for shards, backend in ((3, "serial"), (4, "process")):
         result = run(
             "stationary",
             event_config(
@@ -194,6 +194,7 @@ def test_skewed_session_identical_across_shard_counts_and_backends():
                 shards=shards, shard_backend=backend,
             ),
         )
+        assert result.overlap is (backend == "process")
         assert result.accuracy_perturbed == reference.accuracy_perturbed
         assert result.deviation_series() == reference.deviation_series()
         assert result.ingest.to_dict() == reference.ingest.to_dict()

@@ -1143,7 +1143,9 @@ class ClusterController:
                     handle = session._claim(index)
                 except ClusterError:
                     continue  # parked, lost, moving or settled
-                payload = self._latest_checkpoint(index, handle.session_id)
+                payload = self._latest_checkpoint(
+                    index, handle.session_id, session.spec
+                )
                 order = self._placement_order(session)
                 # From the checkpoint if there is one, else (or when no
                 # survivor takes it) from scratch.
@@ -1166,23 +1168,27 @@ class ClusterController:
             span.set(**outcomes)
 
     def _latest_checkpoint(
-        self, replica_index: int, engine_session_id: int
+        self, replica_index: int, engine_session_id: int, spec: SessionSpec
     ) -> Optional[CheckpointPayload]:
         """The newest checkpoint a dead replica left for one session that
         still validates (a save torn by the crash fails its digest and is
-        skipped in favor of the previous one)."""
+        skipped in favor of the previous one) and embeds the session's
+        spec: engine labels restart at 0 in every run, so a directory
+        reused from an earlier run holds its files under the same labels."""
         directory = self.replicas[replica_index].checkpoint_dir
         if directory is None or not os.path.isdir(directory):
             return None
         label = f"session-{engine_session_id}"
+        expected = spec.to_mapping()
         for path in reversed(list_checkpoints(directory, label=label)):
             try:
                 with open(path, "rb") as stream:
                     data = stream.read()
-                loads_checkpoint(data, origin=f"{path!r}")
+                ckpt = loads_checkpoint(data, origin=f"{path!r}")
             except (OSError, CheckpointError):
                 continue
-            return CheckpointPayload(path, data=data)
+            if ckpt.spec == expected:
+                return CheckpointPayload(path, data=data)
         return None
 
     # ------------------------------------------------------------------

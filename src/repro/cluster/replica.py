@@ -67,8 +67,10 @@ class ReplicaServer:
     def __init__(self, service: MiningService) -> None:
         self.service = service
         # The engine settles (forgets) finished handles; the replica keeps
-        # every handle it admitted so the parent can poll/collect results
-        # at its own pace.
+        # each handle it admitted until the parent has collected its end
+        # (a settled ``result``, an evicted ``collect_evicted``), so the
+        # parent can poll and collect at its own pace.  The parent never
+        # asks about a collected session again.
         self._handles: Dict[int, SessionHandle] = {}
 
     # -- handlers: each returns (response, keep_serving) ----------------
@@ -111,9 +113,13 @@ class ReplicaServer:
 
     def _op_result(self, request: Dict[str, Any]) -> Dict[str, Any]:
         handle = self._handle(request["session_id"])
-        # Re-raises the session's own failure; the loop wraps it into an
-        # error envelope with its type preserved.
-        result = handle.result(timeout=request.get("timeout"))
+        try:
+            # Re-raises the session's own failure; the loop wraps it into
+            # an error envelope with its type preserved.
+            result = handle.result(timeout=request.get("timeout"))
+        finally:
+            if handle.poll() in ("completed", "failed", "cancelled"):
+                del self._handles[handle.session_id]
         return {"result": result}
 
     def _op_cancel(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -140,6 +146,7 @@ class ReplicaServer:
         path = handle.evicted_path()
         with open(path, "rb") as stream:
             data = stream.read()
+        del self._handles[handle.session_id]
         return {"status": status, "path": path, "data": data}
 
     def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -46,7 +46,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..checkpoint import CheckpointError
 from ..core.session import SAPSessionResult
@@ -291,6 +291,9 @@ class RemoteHandle:
         # Last terminal status seen; a settled session stays settled even
         # after its replica is gone (closed or crashed).
         self._settled: Optional[str] = None
+        # ``(result, error)`` once ``result`` has collected the session's
+        # end; the replica forgets the session then.
+        self._outcome: Optional[Tuple[Any, Optional[BaseException]]] = None
 
     @property
     def migratable(self) -> bool:
@@ -362,17 +365,30 @@ class RemoteHandle:
         return "lost"
 
     def result(self, timeout: Optional[float] = None) -> SessionResult:
-        """Fetch the settled result over the wire and rehydrate it."""
-        status = self.wait(timeout=timeout)
-        if status == "lost":
-            raise TransportError(
-                f"replica {self._replica.index} died while owning session "
-                f"{self.session_id}"
-            )
-        value = self._replica._rpc(
-            "result", session_id=self.session_id, timeout=timeout
-        )
-        return result_from_wire(value["result"])
+        """Fetch the settled result over the wire, once, and rehydrate it."""
+        if self._outcome is None:
+            status = self.wait(timeout=timeout)
+            if status == "lost":
+                raise TransportError(
+                    f"replica {self._replica.index} died while owning "
+                    f"session {self.session_id}"
+                )
+            try:
+                value = self._replica._rpc(
+                    "result", session_id=self.session_id, timeout=timeout
+                )
+            except TransportError:
+                raise
+            except Exception as exc:  # the session's own end, re-raised
+                if status not in ("completed", "failed", "cancelled"):
+                    raise
+                self._outcome = (None, exc)
+            else:
+                self._outcome = (result_from_wire(value["result"]), None)
+        result, error = self._outcome
+        if error is not None:
+            raise error
+        return result
 
     def cancel(self) -> bool:
         """Cancel on the owning replica; False if it cannot be reached."""

@@ -29,8 +29,10 @@ it on a driver thread with its metered backend plugged in.
 from __future__ import annotations
 
 import logging
+import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
@@ -159,6 +161,7 @@ def execute_spec(
     telemetry: Optional[Telemetry] = None,
     checkpointer: Optional[Checkpointer] = None,
     resume_from: Optional[Union[str, SessionCheckpoint]] = None,
+    turn: Optional["_Turn"] = None,
 ) -> SessionResult:
     """Run one spec to completion and return its native result object.
 
@@ -190,6 +193,11 @@ def execute_spec(
         :class:`~repro.checkpoint.SessionCheckpoint` loaded from it).
         Batch sessions are one protocol round and finish or
         fail atomically, so checkpointing them is refused.
+    turn:
+        The hook of an inline :class:`MiningService`: the held turn that
+        lets one of its drivers run session code at a time.  A stream
+        session offers it at each round boundary; a batch session is one
+        protocol round and runs whole.  Never affects results.
     """
     if spec.kind == "batch" and (checkpointer is not None or resume_from is not None):
         raise CheckpointError(
@@ -238,6 +246,7 @@ def execute_spec(
                 backend=backend,
                 checkpointer=checkpointer,
                 resume_from=resume_from,
+                turn=turn,
             )
     except BaseException as exc:
         if span is not None:
@@ -526,13 +535,69 @@ class _TenantLedger:
     stats: TenantStats
 
 
+class _Turn:
+    """The right to run session code, passed between an engine's drivers.
+
+    A FIFO hand-off lock: :meth:`release` passes the turn straight to the
+    oldest waiter, so the releasing driver cannot take it back before the
+    waiter wakes, as it could a plain lock.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._waiters: deque = deque()
+        self._held = False
+        self._taken_at = 0.0
+
+    def acquire(self) -> None:
+        """Wait for the turn behind every driver already waiting."""
+        with self._lock:
+            if not self._held:
+                self._held = True
+                self._taken_at = time.perf_counter()
+                return
+            gate = threading.Lock()
+            gate.acquire()
+            self._waiters.append(gate)
+        # Opened by the holder's release, which leaves the turn held.
+        gate.acquire()
+        self._taken_at = time.perf_counter()
+
+    def release(self) -> None:
+        """Hand the turn to the oldest waiter, or free it."""
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().release()
+            else:
+                self._held = False
+
+    def offer(self) -> None:
+        """Pass the turn on and queue for it again, but only when another
+        driver waits and the holder has had it for the switch interval."""
+        if (
+            self._waiters
+            and time.perf_counter() - self._taken_at >= sys.getswitchinterval()
+        ):
+            self.release()
+            self.acquire()
+
+
 class MiningService:
     """Long-lived engine running many concurrent sessions over one pool.
 
     Parameters
     ----------
     max_inflight:
-        Driver threads — sessions executing concurrently.
+        Driver threads — sessions admitted to run at once.  Under
+        ``serial`` or ``thread`` the drivers take turns: one runs session
+        code at a time and passes the turn on at a stream round boundary,
+        once it has held it for the interpreter's switch interval
+        (:func:`sys.getswitchinterval`); a batch session runs whole.
+        Under the GIL the drivers never ran Python in parallel anyway,
+        and taking turns spares them a thread switch at every numpy call
+        that drops the GIL.  A source that blocks keeps the turn while it
+        blocks.  A ``process`` engine's drivers run concurrently, since
+        they wait on the pool.
     queue_limit:
         Sessions allowed to wait beyond the in-flight ones; ``None`` is
         unbounded, ``0`` rejects anything that cannot start immediately.
@@ -593,6 +658,11 @@ class MiningService:
         # driver, so the drivers are the threads the meter counts.
         self.pool = MeteredBackend(
             backend, None if backend.supports_overlap else max_inflight
+        )
+        # Inline drivers take turns; one driver has nobody to take turns
+        # with.
+        self._turn = (
+            _Turn() if not backend.supports_overlap and max_inflight > 1 else None
         )
         # Pre-fork/pre-start the shared pool's workers from this thread,
         # before any driver threads exist: forking a multi-threaded process
@@ -791,6 +861,25 @@ class MiningService:
             qspan.end(outcome="started")
         handle._running = True
         handle.started_at = time.perf_counter()
+        turn = self._turn
+        if turn is not None:
+            turn.acquire()
+        try:
+            self._run_session(handle, tel, dataset, source, resume_from)
+        finally:
+            if turn is not None:
+                turn.release()
+
+    def _run_session(
+        self,
+        handle: SessionHandle,
+        tel: Optional[Telemetry],
+        dataset: Optional[Dataset],
+        source: Optional[StreamSource],
+        resume_from: Optional[Union[str, SessionCheckpoint]],
+    ) -> None:
+        """Execute one running session and settle it, whatever its end."""
+        spec = handle.spec
         drive_span = None
         exec_tel = tel
         if tel is not None and tel.enabled:
@@ -805,6 +894,7 @@ class MiningService:
                 source=source, telemetry=exec_tel,
                 checkpointer=handle._checkpointer,
                 resume_from=resume_from,
+                turn=self._turn,
             )
         except SessionEvicted as exc:
             # A requested checkpoint-and-abandon, not a failure: the slot

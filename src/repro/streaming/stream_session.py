@@ -785,15 +785,19 @@ def _execute_stream_session(
     backend: Optional[ShardBackend] = None,
     checkpointer: Optional[Checkpointer] = None,
     resume_from: Optional[Union[str, SessionCheckpoint]] = None,
+    turn: Optional[Any] = None,
 ) -> StreamSessionResult:
     """The stream session internals (see :func:`run_stream_session`).
 
     ``backend`` optionally points the per-round shard fan-out at an
     externally owned backend (a serving engine's metered one); the
     choice cannot affect results because task content and merge order
-    never depend on physical placement.
+    never depend on physical placement.  ``turn`` is an inline engine's
+    held turn, offered to its other drivers at each round boundary.
     """
-    return _StreamRun(source, config, backend, checkpointer, resume_from).run()
+    return _StreamRun(
+        source, config, backend, checkpointer, resume_from, turn
+    ).run()
 
 
 class _StreamRun:
@@ -811,10 +815,12 @@ class _StreamRun:
         backend: Optional[ShardBackend] = None,
         checkpointer: Optional[Checkpointer] = None,
         resume_from: Optional[Union[str, SessionCheckpoint]] = None,
+        turn: Optional[Any] = None,
     ) -> None:
         self.source = source
         self.config = config
         self.checkpointer = checkpointer
+        self.turn = turn
         master = self.master = np.random.default_rng(config.seed)
         params = dict(config.classifier_params)
         miner_seed = int(master.integers(2**32))
@@ -1455,8 +1461,8 @@ class _StreamRun:
 
     def run(self) -> StreamSessionResult:
         """Ingest the source to its end, round by round, and report."""
-        config, state, plane, checkpointer = (
-            self.config, self.state, self.plane, self.checkpointer
+        config, state, plane, checkpointer, turn = (
+            self.config, self.state, self.plane, self.checkpointer, self.turn
         )
         start = time.perf_counter()
         try:
@@ -1513,6 +1519,10 @@ class _StreamRun:
                             raise SessionEvicted(
                                 path, len(state.window_stats), state.records
                             )
+                    if turn is not None:
+                        # A round boundary: another driver of an inline
+                        # engine may run its session from here.
+                        turn.offer()
             # The legacy driver never flushed its buffer, so a stream whose
             # length is not a multiple of the window size dropped the
             # partial remainder.  Keep that behavior (it is what the

@@ -1,5 +1,6 @@
 """MiningService: concurrency, determinism, admission control, tenancy."""
 
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -525,3 +526,116 @@ def test_inline_engines_match_inline_execute_spec(backend):
         assert_same_result(spec, result, execute_spec(spec))
         if spec.kind == "stream":
             assert result.overlap is False
+
+
+# ----------------------------------------------------------------------
+# an inline engine's drivers take turns at round boundaries
+# ----------------------------------------------------------------------
+def _wait_until_running(handle, seconds=30):
+    deadline = time.monotonic() + seconds
+    while handle.poll() == "queued" and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert handle.poll() == "running"
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_inline_engine_runs_one_driver_at_a_time(backend, monkeypatch):
+    """Sixteen mixed sessions on four inline drivers: no two threads are
+    ever inside a shard task at once, even when a task drops the GIL."""
+    from repro.streaming import stream_session
+
+    lock = threading.Lock()
+    inside, overlaps, runners = set(), [], set()
+
+    def exclusive(name):
+        task = getattr(stream_session, name)
+
+        def watched(*args, **kwargs):
+            me = threading.current_thread().name
+            with lock:
+                if inside:
+                    overlaps.append((me, sorted(inside)))
+                inside.add(me)
+                runners.add(me)
+            try:
+                time.sleep(0.0005)  # drops the GIL, as large numpy calls do
+                return task(*args, **kwargs)
+            finally:
+                with lock:
+                    inside.discard(me)
+
+        monkeypatch.setattr(stream_session, name, watched)
+
+    exclusive("transform_window")
+    exclusive("predict_window")
+    specs = [
+        replace(spec, seed=spec.seed + 100 * copy)
+        for copy in range(2)
+        for spec in mixed_workload()
+    ]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the turn changes hands at every boundary
+    try:
+        with MiningService(max_inflight=4, shard_backend=backend) as service:
+            handles = [service.submit(spec) for spec in specs]
+            assert [h.wait(timeout=60) for h in handles] == ["completed"] * 16
+    finally:
+        sys.setswitchinterval(previous)
+    assert len(runners) > 1, runners  # the sessions did spread over drivers
+    assert not overlaps, overlaps[:5]
+
+
+def test_a_long_stream_lets_a_short_session_through():
+    """Turns pass at round boundaries, not at session ends: a batch
+    session submitted behind a long stream finishes while it runs."""
+    stream_spec = SessionSpec(
+        kind="stream", dataset="wine", windows=300, window_size=32, k=3,
+        compute_privacy=False, seed=5,
+    )
+    batch_spec = SessionSpec(kind="batch", dataset="iris", k=3, seed=7)
+    with MiningService(max_inflight=2, shard_backend="thread") as service:
+        stream = service.submit(stream_spec)
+        _wait_until_running(stream)
+        batch = service.submit(batch_spec)
+        batch.result(timeout=60)
+        assert stream.poll() == "running"
+        stream.result(timeout=120)
+
+
+def test_failed_and_evicted_sessions_give_the_turn_back(tmp_path):
+    """Whatever ends a session, its driver passes the turn on: the next
+    session on the same engine still completes."""
+    long_spec = SessionSpec(
+        kind="stream", dataset="wine", windows=300, window_size=32, k=3,
+        compute_privacy=False, seed=5,
+    )
+    with MiningService(
+        max_inflight=2, shard_backend="thread", checkpoint_dir=str(tmp_path)
+    ) as service:
+        failed = service.submit(SessionSpec(kind="batch", dataset="atlantis", k=3))
+        assert failed.wait(timeout=30) == "failed"
+        after_failure = service.submit(gated_spec_and_source(seed=1)[0])
+        assert after_failure.wait(timeout=30) == "completed"
+
+        evicted = service.submit(long_spec)
+        _wait_until_running(evicted)
+        assert service.evict(evicted.session_id, timeout=30) is not None
+        assert evicted.poll() == "evicted"
+        after_eviction = service.submit(gated_spec_and_source(seed=2)[0])
+        assert after_eviction.wait(timeout=30) == "completed"
+
+
+@pytest.mark.parametrize(
+    "backend, inflight, turns",
+    [("thread", 2, True), ("serial", 2, True), ("thread", 1, False),
+     ("process", 2, False)],
+)
+def test_only_inline_engines_with_several_drivers_take_turns(
+    backend, inflight, turns
+):
+    """A process engine's drivers wait on its pool, so they run at once;
+    a one-driver engine has nobody to take turns with."""
+    with MiningService(
+        max_inflight=inflight, shard_backend=backend, shard_workers=1
+    ) as service:
+        assert (service._turn is not None) is turns

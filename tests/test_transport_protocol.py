@@ -188,6 +188,44 @@ def test_replica_server_full_session_lifecycle():
         assert not serving
 
 
+def test_replica_server_forgets_each_session_the_parent_collected(tmp_path):
+    """A settled ``result`` reply and an evicted ``collect_evicted`` reply
+    each hand the session's end over, and the server lets the handle go:
+    a long-lived replica keeps only the sessions still to be collected."""
+    with MiningService(max_inflight=2, checkpoint_dir=str(tmp_path)) as service:
+        server = ReplicaServer(service)
+
+        def ask(op, **fields):
+            response, _ = server.handle_request({"op": op, **fields})
+            return unwrap_response(response)
+
+        completed = [
+            ask("submit", spec=_spec_mapping(seed=seed))["session_id"]
+            for seed in range(6)
+        ]
+        failed = ask(
+            "submit", spec={"kind": "batch", "dataset": "atlantis", "k": 3}
+        )["session_id"]
+        evicted = ask(
+            "submit", spec=_spec_mapping(seed=9, windows=300)
+        )["session_id"]
+        assert ask("request_evict", session_id=evicted)["evictable"]
+        assert ask("ping")["active"] == 8
+
+        for session_id in completed:
+            result = ask("result", session_id=session_id, timeout=60)["result"]
+            assert result.records_processed > 0
+        with pytest.raises(KeyError, match="atlantis"):
+            ask("result", session_id=failed, timeout=60)
+        collected = ask("collect_evicted", session_id=evicted, timeout=60)
+        assert collected["status"] == "evicted" and collected["data"]
+
+        assert server._handles == {}
+        assert ask("ping")["active"] == 0
+        with pytest.raises(KeyError, match="no session"):
+            ask("poll", session_id=completed[0])
+
+
 def test_replica_server_wraps_failures_into_envelopes():
     with MiningService(max_inflight=2) as service:
         server = ReplicaServer(service)

@@ -3,10 +3,15 @@
 Runs each spec of this checkout's ``perfbench`` decks (four workloads at
 seeds 1 and 2, 168 sessions) inline through ``repro.serve.execute_spec``,
 with the ``repro`` package imported from ``--src``, and prints
-``<workload> <seed> <index> <fingerprint>`` per session, the fingerprint
-being ``perfbench/workloads.py``'s.  Two source trees print the same lines
-exactly when every session reproduces bit for bit, so comparing a change
-with its base commit is::
+``<workload> <seed> <index> <fingerprint> <wire digest>`` per session.
+The fingerprint is ``perfbench/workloads.py``'s; the wire digest is a
+sha256 over every simnet payload the session serialized, in order, taken
+by wrapping ``repro.simnet.channel.serialize_payload``.  The network
+charges each message its payload's length, so the fingerprint already
+moves with the byte count; the digest also moves with any byte of the
+payload layout.  Two source trees print the same lines exactly when every
+session reproduces bit for bit and sends the same bytes, so comparing a
+change with its base commit is::
 
     git worktree add --detach ../base <base-commit>
     python benchmarks/deck_fingerprints.py --src ../base/src > base.txt
@@ -17,6 +22,7 @@ The script only reads ``perfbench/``; it writes nothing but its output.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 
@@ -35,11 +41,26 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.abspath(args.src), PERFBENCH]
     import workloads
     from repro.serve import execute_spec
+    from repro.simnet import channel
 
+    serialize = channel.serialize_payload
+    digest = hashlib.sha256()
+
+    def hashed(payload):
+        data = serialize(payload)
+        digest.update(data)
+        return data
+
+    channel.serialize_payload = hashed
     for name in WORKLOADS:
         for seed in SEEDS:
             for index, spec in enumerate(workloads.WORKLOADS[name].deck(seed)):
-                print(name, seed, index, workloads.fingerprint(execute_spec(spec)))
+                digest = hashlib.sha256()
+                result = execute_spec(spec)
+                print(
+                    name, seed, index, workloads.fingerprint(result),
+                    digest.hexdigest(),
+                )
     return 0
 
 

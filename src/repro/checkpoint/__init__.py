@@ -6,9 +6,12 @@ miners that migrate across epochs via the adaptor identity, epoch + trust
 state, event-time ingest gates — so durability is one serialization layer
 away.  This package is that layer:
 
-* :mod:`~repro.checkpoint.codec` — a pickle-free tagged binary encoding
-  that round-trips numpy arrays/scalars, big RNG state integers,
-  insertion-ordered dicts, and registered dataclasses and enums exactly;
+* :mod:`~repro.checkpoint.codec` — the repo's one value codec: a
+  pickle-free tagged binary walker with two byte layouts.  ``RECORDS``
+  (checkpoints and replica frames) round-trips numpy arrays/scalars, big
+  RNG state integers, insertion-ordered dicts, and registered dataclasses
+  and enums exactly; ``PAYLOADS`` is the simnet message format, whose
+  length the network charges;
 * :mod:`~repro.checkpoint.checkpoint` — the versioned
   :class:`SessionCheckpoint` file format (magic, schema version, sha256
   payload fingerprint, atomic write-then-rename, corruption refusal), the

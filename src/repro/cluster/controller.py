@@ -558,7 +558,6 @@ class ClusterController:
         self._migrations = 0
         self._recoveries = 0
         self._rebalances = 0
-        self._rejected = 0
         self._draining: set = set()
         self._closed = False
         self._started = time.perf_counter()
@@ -660,7 +659,6 @@ class ClusterController:
         )
         if refusal is not None:
             ledger.rejected += 1
-            self._rejected += 1
             raise AdmissionError(refusal)
         session_id = self._next_id
         self._next_id += 1
@@ -735,7 +733,6 @@ class ClusterController:
         except AdmissionError:
             with self._lock:
                 ledger.rejected += 1
-                self._rejected += 1
             raise
         session = ClusterSession(
             spec, session_id, destination, handle,
@@ -1209,7 +1206,7 @@ class ClusterController:
         with self._lock:
             elapsed = time.perf_counter() - self._started
             submitted = sum(t.submitted for t in self._tenants.values())
-            rejected = self._rejected
+            rejected = sum(t.rejected for t in self._tenants.values())
             migrations = self._migrations
             recoveries = self._recoveries
             rebalances = self._rebalances

@@ -527,6 +527,14 @@ class ServiceStats:
         return "\n".join(lines)
 
 
+#: the :class:`ServiceStats` counters that are sums of their tenants'
+#: :class:`TenantStats` fields of the same name
+_SERVICE_TOTALS = (
+    "submitted", "rejected", "completed", "failed", "cancelled", "evicted",
+    "active", "records", "messages", "bytes",
+)
+
+
 @dataclass
 class _TenantLedger:
     """Mutable per-tenant accounting, guarded by the service lock."""
@@ -676,15 +684,10 @@ class MiningService:
         # evicted so a long-lived service does not pin every past result in
         # memory (callers keep their own handle if they want the result).
         self._handles: Dict[int, SessionHandle] = {}
-        self._active = 0
         self._ledgers: Dict[str, _TenantLedger] = {}
         for tenant, policy in dict(tenants or {}).items():
             self._ledgers[tenant] = _TenantLedger(policy, TenantStats(tenant))
         self._next_id = 0
-        self._records = 0
-        self._messages = 0
-        self._bytes = 0
-        self._rejected = 0
         self._started = time.perf_counter()
         self._closed = False
         self.telemetry = telemetry
@@ -700,6 +703,10 @@ class MiningService:
     # ------------------------------------------------------------------
     # admission + submission
     # ------------------------------------------------------------------
+    def _active(self) -> int:
+        """Sessions admitted and not yet settled; called under the lock."""
+        return sum(ledger.stats.active for ledger in self._ledgers.values())
+
     def _ledger(self, tenant: str) -> _TenantLedger:
         ledger = self._ledgers.get(tenant)
         if ledger is None:
@@ -719,11 +726,11 @@ class MiningService:
             if self.queue_limit is None
             else self.max_inflight + self.queue_limit
         )
-        if capacity is not None and self._active >= capacity:
+        active = self._active()
+        if capacity is not None and active >= capacity:
             stats.rejected += 1
-            self._rejected += 1
             raise AdmissionError(
-                f"service at capacity: {self._active} sessions in flight "
+                f"service at capacity: {active} sessions in flight "
                 f"(max_inflight={self.max_inflight}, "
                 f"queue_limit={self.queue_limit}); retry later"
             )
@@ -736,14 +743,12 @@ class MiningService:
         )
         if refusal is not None:
             stats.rejected += 1
-            self._rejected += 1
             raise AdmissionError(refusal)
         handle = SessionHandle(spec, self._next_id)
         handle._on_cancel = self._release_cancelled
         self._next_id += 1
         stats.submitted += 1
         stats.active += 1
-        self._active += 1
         if spec.effective_privacy:
             stats.privacy_sessions += 1
         self._handles[handle.session_id] = handle
@@ -949,11 +954,7 @@ class MiningService:
                 stats.messages += messages
                 stats.bytes += nbytes
                 stats.busy_seconds += handle.wall_seconds
-                self._records += records
-                self._messages += messages
-                self._bytes += nbytes
-            self._active -= 1
-            idle_after_close = self._closed and self._active == 0
+            idle_after_close = self._closed and self._active() == 0
         if idle_after_close:
             self.pool.close()
         if exc is None:
@@ -1007,7 +1008,6 @@ class MiningService:
             stats = self._ledger(handle.spec.tenant).stats
             stats.active -= 1
             stats.cancelled += 1
-            self._active -= 1
             self._settle(handle)
 
     def drain(self, timeout: Optional[float] = None) -> None:
@@ -1101,12 +1101,10 @@ class MiningService:
             tenants = tuple(
                 TenantStats(**vars(ledger.stats)) for ledger in self._ledgers.values()
             )
-            submitted = sum(t.submitted for t in tenants)
-            completed = sum(t.completed for t in tenants)
-            failed = sum(t.failed for t in tenants)
-            cancelled = sum(t.cancelled for t in tenants)
-            evicted = sum(t.evicted for t in tenants)
-            active = self._active
+            totals = {
+                name: sum(getattr(t, name) for t in tenants)
+                for name in _SERVICE_TOTALS
+            }
             # utilization() advances the occupancy clock up to "now" under
             # the metering lock; reading busy_seconds *after* it keeps the
             # two figures consistent while dispatches are mid-flight.
@@ -1120,19 +1118,7 @@ class MiningService:
                 utilization=utilization,
             )
             return ServiceStats(
-                elapsed_seconds=elapsed,
-                submitted=submitted,
-                rejected=self._rejected,
-                completed=completed,
-                failed=failed,
-                cancelled=cancelled,
-                evicted=evicted,
-                active=active,
-                records=self._records,
-                messages=self._messages,
-                bytes=self._bytes,
-                tenants=tenants,
-                pool=pool,
+                elapsed_seconds=elapsed, tenants=tenants, pool=pool, **totals
             )
 
     # ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.checkpoint.codec import MAX_DEPTH, PAYLOADS, encode
 from repro.simnet.errors import TransportError
 from repro.simnet.messages import (
     Message,
@@ -79,6 +80,11 @@ def test_non_contiguous_array_roundtrip():
     np.testing.assert_array_equal(result["a"], array)
 
 
+def test_zero_dim_array_keeps_its_shape():
+    result = roundtrip({"a": np.asarray(2.5)})
+    assert result["a"].shape == () and result["a"] == 2.5
+
+
 def test_numpy_scalars_roundtrip_as_python_scalars():
     result = roundtrip({"i": np.int32(5), "f": np.float64(2.5)})
     assert result == {"i": 5, "f": 2.5}
@@ -107,14 +113,8 @@ def test_trailing_bytes_rejected():
 
 
 def test_top_level_must_be_dict():
-    import io
-
-    from repro.simnet.messages import _write_value
-
-    out = io.BytesIO()
-    _write_value(out, [1, 2])
     with pytest.raises(TransportError):
-        deserialize_payload(out.getvalue())
+        deserialize_payload(encode([1, 2], PAYLOADS))
 
 
 def test_payload_nbytes_matches_serialized_length():
@@ -182,3 +182,21 @@ HOSTILE = {
 def test_hostile_payload_raises_transport_error(data):
     with pytest.raises(TransportError):
         deserialize_payload(data)
+
+
+def _nested(depth):
+    value = None
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_depth_limit_is_the_same_both_ways():
+    # the top-level dict is one level of the limit
+    deepest = {"a": _nested(MAX_DEPTH - 1)}
+    assert roundtrip(deepest) == deepest
+    with pytest.raises(TransportError, match="nested deeper"):
+        serialize_payload({"a": _nested(MAX_DEPTH)})
+    too_deep = b"L" + struct.pack(">I", 1) + encode(deepest["a"], PAYLOADS)
+    with pytest.raises(TransportError, match="nested deeper"):
+        deserialize_payload(_one_entry(_key(b"a"), too_deep))

@@ -1763,7 +1763,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     one-line ``error:`` message and return 2 — the same exit code argparse
     uses for an unknown subcommand — instead of dumping a traceback.
     Commands may return ``(output, exit_code)`` to report partial failures
-    (``repro serve`` exits 1 when any session failed).
+    (``repro serve`` exits 1 when any session failed).  A reader that
+    closes stdout before the output is written ends it quietly, with the
+    command's own exit code.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1782,7 +1784,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     code = 0
     if isinstance(output, tuple):
         output, code = output
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``repro datasets | head -1``),
+        # so the rest of the output has nowhere to go.  Point stdout at
+        # the null device so that the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -200,6 +200,10 @@ DATASET_NAMES: Tuple[str, ...] = tuple(DATASET_SPECS)
 FIGURE3_DATASETS: Tuple[str, ...] = ("diabetes", "shuttle", "votes")
 
 
+#: each registry table at its default seed, synthesized on first load
+_TABLES: Dict[str, Dataset] = {}
+
+
 def load_dataset(name: str, seed: Optional[int] = None) -> Dataset:
     """Load (synthesize) one of the 12 named datasets.
 
@@ -210,6 +214,13 @@ def load_dataset(name: str, seed: Optional[int] = None) -> Dataset:
     seed:
         Synthesis seed.  Defaults to a stable per-dataset seed so that
         every experiment in the repository sees the same table.
+
+    Notes
+    -----
+    At the default seed each table is synthesized once per process and
+    kept; every call returns a new :class:`Dataset` over copies of the
+    kept arrays, so no caller can change the table another one loads.
+    An explicit ``seed`` synthesizes the table anew on every call.
     """
     key = name.lower()
     if key not in DATASET_SPECS:
@@ -217,10 +228,20 @@ def load_dataset(name: str, seed: Optional[int] = None) -> Dataset:
             f"unknown dataset {name!r}; available: {', '.join(DATASET_NAMES)}"
         )
     spec = DATASET_SPECS[key]
-    if seed is None:
+    if seed is not None:
+        return synthesize(spec, seed=seed)
+    table = _TABLES.get(key)
+    if table is None:
         # Stable per-dataset default: hash-free, readable, reproducible.
-        seed = 7_000 + sorted(DATASET_SPECS).index(key)
-    return synthesize(spec, seed=seed)
+        # Two threads may both synthesize it; their tables are equal.
+        default_seed = 7_000 + sorted(DATASET_SPECS).index(key)
+        table = _TABLES.setdefault(key, synthesize(spec, seed=default_seed))
+    return Dataset(
+        name=table.name,
+        X=table.X.copy(),
+        y=table.y.copy(),
+        feature_names=table.feature_names,
+    )
 
 
 def dataset_summary() -> str:

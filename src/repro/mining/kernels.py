@@ -10,7 +10,7 @@ paper's analysis centres on distance-based learners like KNN and SVM-RBF.)
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -26,19 +26,33 @@ __all__ = [
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def pairwise_sq_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def pairwise_sq_distances(
+    X: np.ndarray,
+    Z: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    work: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Squared Euclidean distances between rows of ``X`` and rows of ``Z``.
 
     Uses the expansion ``|x - z|^2 = (|x|^2 + |z|^2) - 2 x.z`` and clamps
     tiny negatives produced by floating-point cancellation.  The product
     is finished in place: doubling is exact, so every entry rounds as the
     expression with fresh temporaries would.
+
+    ``out`` and ``work``, when given, are float64 arrays of the result's
+    shape ``(len(X), len(Z))``: the distances are written to ``out`` and
+    the norm sums formed in ``work``, so the call allocates nothing of
+    that size.  The values are the same either way.
     """
-    sq = X @ Z.T
-    # Integer rows give float distances, as ``2.0 * (X @ Z.T)`` would.
-    sq = sq.astype(np.result_type(sq, 2.0), copy=False)
+    if out is None:
+        sq = X @ Z.T
+        # Integer rows give float distances, as ``2.0 * (X @ Z.T)`` would.
+        sq = sq.astype(np.result_type(sq, 2.0), copy=False)
+    else:
+        sq = np.matmul(X, Z.T, out=out)
     sq *= 2.0
-    np.subtract(np.sum(X * X, axis=1)[:, None] + np.sum(Z * Z, axis=1), sq, out=sq)
+    norms = np.add(np.sum(X * X, axis=1)[:, None], np.sum(Z * Z, axis=1), out=work)
+    np.subtract(norms, sq, out=sq)
     np.maximum(sq, 0.0, out=sq)
     return sq
 

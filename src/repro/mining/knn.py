@@ -8,7 +8,8 @@ with the additive-noise component.
 
 from __future__ import annotations
 
-from typing import Optional
+import threading
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +24,29 @@ __all__ = ["KNNClassifier"]
 #: 1,600-4,096: its compare and matmul pass over the whole row, where the
 #: index vote gathers only k entries.
 _SET_VOTE_MAX_TRAIN = 512
+
+#: each thread's two scratch buffers for the set vote (a block's
+#: distances and their partition copy), and the most entries each may
+#: hold: 512 block rows x 512 training rows, 2 MiB
+_scratch = threading.local()
+_SCRATCH_MAX = 512 * _SET_VOTE_MAX_TRAIN
+
+
+def _scratch_pair(rows: int, cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Two ``(rows, cols)`` float arrays, views of this thread's scratch.
+
+    The buffers only grow, so a predict frees nothing the next one
+    allocates: glibc hands freed blocks of this size back to the system,
+    and a fresh process then faults every page of them in again on each
+    block.  Blocks past :data:`_SCRATCH_MAX` get arrays of their own.
+    """
+    size = rows * cols
+    if size > _SCRATCH_MAX:
+        return np.empty((rows, cols)), np.empty((rows, cols))
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _scratch.buffers = (np.empty(size), np.empty(size))
+    return tuple(buffer[:size].reshape(rows, cols) for buffer in buffers)
 
 
 class KNNClassifier(Classifier):
@@ -93,19 +117,27 @@ class KNNClassifier(Classifier):
             block = X[start : start + self.batch_size]
             # One product per block: BLAS rounds some entries differently
             # when the same rows are multiplied in smaller pieces.
-            sq = pairwise_sq_distances(block, self._X)
-            votes = self._set_votes(sq, k) if by_set else self._index_votes(sq, k)
+            if by_set:
+                sq, part = _scratch_pair(len(block), n_train)
+                pairwise_sq_distances(block, self._X, out=sq, work=part)
+                votes = self._set_votes(sq, k, part)
+            else:
+                votes = self._index_votes(pairwise_sq_distances(block, self._X), k)
             # Ties break toward the smaller class label (argmax is stable),
             # which keeps predictions deterministic run to run.
             out[start : start + len(block)] = self._classes[np.argmax(votes, axis=1)]
         return out
 
-    def _set_votes(self, sq: np.ndarray, k: int) -> np.ndarray:
-        """Uniform votes of each row's ``k`` nearest training rows."""
+    def _set_votes(self, sq: np.ndarray, k: int, mask: np.ndarray) -> np.ndarray:
+        """Uniform votes of each row's ``k`` nearest training rows.
+
+        ``mask`` is scratch of ``sq``'s shape, overwritten.
+        """
         # A 0/1 neighbour mask times this counts each class's votes exactly.
         classes = np.arange(len(self._classes))
         one_hot = (self._y_index[:, None] == classes).astype(float)
-        mask = np.partition(sq, k - 1, axis=1)
+        np.copyto(mask, sq)
+        mask.partition(k - 1, axis=1)
         kth = mask[:, k - 1 : k].copy()
         np.less_equal(sq, kth, out=mask)
         votes = mask @ one_hot

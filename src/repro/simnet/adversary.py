@@ -68,22 +68,14 @@ class ObservationLedger:
         self, time: float, sender: str, recipient: str, kind: MessageKind, nbytes: int
     ) -> None:
         """Record the eavesdropper view of one transmission."""
-        self.wire.append(
-            WireObservation(
-                time=time, sender=sender, recipient=recipient, kind=kind, nbytes=nbytes
-            )
-        )
+        self.wire.append(WireObservation(time, sender, recipient, kind, nbytes))
 
     def record_endpoint(self, time: float, observer: str, message: Message) -> None:
         """Record the recipient view of one delivered message."""
         self.endpoint.append(
             EndpointObservation(
-                time=time,
-                observer=observer,
-                kind=message.kind,
-                sender=message.sender,
-                payload_keys=tuple(sorted(message.payload)),
-                message=message,
+                time, observer, message.kind, message.sender,
+                tuple(sorted(message.payload)), message,
             )
         )
 

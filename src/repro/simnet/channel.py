@@ -170,59 +170,49 @@ class Network:
             If the recipient is not registered (checked at send time: the
             sender is simulated software that must know its peers).
         """
-        if message.recipient not in self._nodes:
-            raise UnknownAddressError(message.recipient)
+        sender, recipient = message.sender, message.recipient
+        if recipient not in self._nodes:
+            raise UnknownAddressError(recipient)
         plaintext = serialize_payload(message.payload)
-        key = crypto.derive_key(message.sender, message.recipient)
+        key = crypto.derive_key(sender, recipient)
         ciphertext = crypto.encrypt(key, plaintext, self._rng)
+        nbytes = len(plaintext)
 
         self.messages_sent += 1
-        self.bytes_sent += len(plaintext)
+        self.bytes_sent += nbytes
 
         # A wire eavesdropper learns endpoints, timing, and size — not content.
+        simulator = self.simulator
         self.ledger.record_wire(
-            time=self.simulator.now,
-            sender=message.sender,
-            recipient=message.recipient,
-            kind=message.kind,
-            nbytes=len(ciphertext),
+            simulator.now, sender, recipient, message.kind, len(ciphertext)
         )
 
         # Fault injection: the transmission happened (the eavesdropper saw
         # it) but the recipient never gets it.
-        if (message.sender, message.recipient) in self._blocked_links or (
-            self.drop_rate > 0.0 and self._rng.random() < self.drop_rate
-        ):
+        if (
+            self._blocked_links and (sender, recipient) in self._blocked_links
+        ) or (self.drop_rate > 0.0 and self._rng.random() < self.drop_rate):
             self.messages_dropped += 1
             return
 
-        model = self._link_latency.get(
-            (message.sender, message.recipient), self.default_latency
-        )
-        delay = model.delay(len(plaintext), self._rng)
+        model = self.default_latency
+        if self._link_latency:
+            model = self._link_latency.get((sender, recipient), model)
+        delay = model.delay(nbytes, self._rng)
 
         def deliver() -> None:
-            recovered = crypto.decrypt(key, ciphertext)
-            payload = deserialize_payload(recovered)
+            payload = deserialize_payload(crypto.decrypt(key, ciphertext))
             if payload.keys() != message.payload.keys():
                 raise TransportError(
                     f"payload corrupted in transit for {message.describe()}"
                 )
             delivered = Message(
-                kind=message.kind,
-                sender=message.sender,
-                recipient=message.recipient,
-                payload=payload,
-                msg_id=message.msg_id,
+                message.kind, sender, recipient, payload, message.msg_id
             )
-            self.ledger.record_endpoint(
-                time=self.simulator.now,
-                observer=message.recipient,
-                message=delivered,
-            )
-            self._nodes[message.recipient].receive(delivered)
+            self.ledger.record_endpoint(simulator.now, recipient, delivered)
+            self._nodes[recipient].receive(delivered)
 
-        self.simulator.schedule(delay, deliver)
+        simulator.schedule(delay, deliver)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Convenience pass-through to :meth:`Simulator.run`."""

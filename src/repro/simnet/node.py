@@ -18,6 +18,9 @@ from .messages import Message, MessageKind
 
 __all__ = ["Node"]
 
+#: the name of each message kind's handler method
+_HANDLER_NAMES = {kind: f"on_{kind.value}" for kind in MessageKind}
+
 
 class Node:
     """An addressable participant attached to a :class:`Network`.
@@ -83,7 +86,7 @@ class Node:
         handler(message)
 
     def _handler_for(self, kind: MessageKind) -> Optional[Callable[[Message], None]]:
-        return getattr(self, f"on_{kind.value}", None)
+        return getattr(self, _HANDLER_NAMES[kind], None)
 
     # ------------------------------------------------------------------
     # conveniences for subclasses and tests

@@ -2,11 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro import SAPConfig
 from repro.cli import build_parser, main
 from repro.streaming import StreamConfig
@@ -1059,3 +1063,22 @@ def test_serving_commands_keep_their_options(command):
         if not isinstance(action, argparse._HelpAction)
     }
     assert options == _OPTIONS[command]
+
+
+def test_a_closed_stdout_ends_the_output_quietly():
+    # The pipe's read end is closed before the command starts, so its
+    # first write meets a broken pipe, as a ``| head -1`` reader that is
+    # already gone would make it.
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "datasets"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write)
+    assert done.stderr == ""
+    assert done.returncode == 0

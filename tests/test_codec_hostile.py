@@ -69,6 +69,8 @@ HOSTILE = {
     "invalid-utf8": b"s" + _sized(b"\xff\xfe"),
     "list-dict-key": b"d" + _u32(1) + b"l" + _u32(0) + b"N",
     "ragged-buffer": _array(b"<f8", (1,), bytes(7)),
+    # any extents match an empty buffer of a zero-itemsize dtype
+    "zero-itemsize-dtype": _array(b"|S0", (2**32 - 1,) * 3, b""),
     "too-many-dims": _array(b"<f8", (1,) * 65, bytes(8)),
     "unknown-class": _record("Pickle", window=0),
     "missing-field": _record("TrustChange", window=0, party=1),

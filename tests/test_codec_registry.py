@@ -9,9 +9,12 @@ attachments, which come back as their defaults.
 
 import dataclasses
 import enum
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import repro
 from repro.checkpoint import (
@@ -28,6 +31,10 @@ from repro.checkpoint import (
 from repro.obs import Telemetry
 from repro.serve import MiningService, SessionSpec
 from repro.streaming import StreamConfig, TrustChange
+from tests.test_payload_reference import (
+    SUBCLASS_EXAMPLE, Level, Name, with_subclasses,
+)
+from tests.test_properties import FAST
 
 
 def assert_identical(left, right, where="value"):
@@ -64,6 +71,76 @@ def _round_trip(value):
     decoded = decode(encode(value))
     assert_identical(value, decoded)
     return decoded
+
+
+def _sized(raw):
+    return struct.pack(">I", len(raw)) + raw
+
+
+def reference_records(value):
+    """The ``RECORDS`` bytes of a record-free value from an ``isinstance``
+    chain alone (``bool`` before ``int``, ``float`` before numpy
+    scalars): subclass values write as the types they extend."""
+    if value is None:
+        return b"N"
+    if value is True or value is False:
+        return b"T" if value else b"F"
+    if isinstance(value, int):
+        length = (value.bit_length() + 8) // 8
+        return b"i" + _sized(value.to_bytes(length, "big", signed=True))
+    if isinstance(value, float):
+        return b"f" + struct.pack(">d", value)
+    if isinstance(value, str):
+        return b"s" + _sized(value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return b"b" + _sized(value)
+    if isinstance(value, dict):
+        return b"d" + struct.pack(">I", len(value)) + b"".join(
+            reference_records(key) + reference_records(item)
+            for key, item in value.items()
+        )
+    if isinstance(value, (list, tuple)):
+        tag = b"l" if isinstance(value, list) else b"t"
+        return tag + struct.pack(">I", len(value)) + b"".join(
+            map(reference_records, value)
+        )
+    if isinstance(value, np.ndarray):
+        return (
+            b"a" + _sized(value.dtype.str.encode("ascii"))
+            + struct.pack(">I", value.ndim)
+            + b"".join(struct.pack(">I", extent) for extent in value.shape)
+            + _sized(value.tobytes())
+        )
+    assert isinstance(value, np.generic), type(value)
+    return b"x" + _sized(value.dtype.str.encode("ascii")) + _sized(value.tobytes())
+
+
+_RECORD_KEYS = st.one_of(
+    st.text(max_size=8), st.text(max_size=8).map(Name),
+    st.integers(-5, 5), st.sampled_from(Level),
+)
+
+_ARRAYS = st.builds(
+    lambda seed, shape, dtype: np.random.default_rng(seed)
+    .integers(0, 200, size=shape).astype(dtype),
+    st.integers(0, 1000),
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.sampled_from(["<f8", "<f4", "<i8", "|u1"]),
+)
+
+
+@FAST
+@given(
+    value=st.one_of(
+        with_subclasses(_RECORD_KEYS),
+        st.lists(st.one_of(_ARRAYS, st.builds(np.float32, st.floats(-1, 1)))),
+    )
+)
+@example(value=SUBCLASS_EXAMPLE + [{Level.LOW: np.float32(1.5)}])
+def test_subclass_values_write_the_reference_records(value):
+    data = encode(value)
+    assert data == reference_records(value)
+    assert encode(decode(data)) == data
 
 
 def test_registered_names_are_pinned():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.datasets import registry
 from repro.datasets.registry import (
     DATASET_NAMES,
     DATASET_SPECS,
@@ -10,6 +11,7 @@ from repro.datasets.registry import (
     dataset_summary,
     load_dataset,
 )
+from repro.datasets.synthesis import synthesize
 
 
 def test_twelve_datasets_registered():
@@ -87,3 +89,50 @@ def test_summary_mentions_every_dataset():
     text = dataset_summary()
     for name in DATASET_NAMES:
         assert name in text
+
+
+@pytest.fixture
+def synthesized(monkeypatch):
+    """Names synthesized, in order, from an empty table cache on."""
+    calls = []
+    synthesize = registry.synthesize
+
+    def counting(spec, seed=None):
+        calls.append(spec.name)
+        return synthesize(spec, seed=seed)
+
+    monkeypatch.setattr(registry, "_TABLES", {})
+    monkeypatch.setattr(registry, "synthesize", counting)
+    return calls
+
+
+def test_default_tables_are_synthesized_once_per_process(synthesized):
+    for _ in range(3):
+        for name in DATASET_NAMES:
+            load_dataset(name.upper())
+    assert sorted(synthesized) == sorted(DATASET_NAMES)
+
+
+def test_an_explicit_seed_synthesizes_on_every_call(synthesized):
+    first = load_dataset("iris", seed=11)
+    second = load_dataset("iris", seed=11)
+    assert synthesized == ["iris", "iris"]
+    np.testing.assert_array_equal(first.X, second.X)
+    assert not np.array_equal(first.X, load_dataset("iris").X)
+
+
+def test_loaded_tables_are_equal_and_independent():
+    first = load_dataset("wine")
+    second = load_dataset("wine")
+    assert first is not second
+    assert first.feature_names == second.feature_names
+    np.testing.assert_array_equal(first.X, second.X)
+    np.testing.assert_array_equal(first.y, second.y)
+    X, y = first.X.copy(), first.y.copy()
+    first.X[:] = 0.0
+    first.y[:] = -1
+    third = load_dataset("wine")
+    np.testing.assert_array_equal(third.X, X)
+    np.testing.assert_array_equal(third.y, y)
+    np.testing.assert_array_equal(second.X, X)
+    assert np.array_equal(third.X, synthesize(DATASET_SPECS["wine"], seed=7_011).X)

@@ -1,8 +1,15 @@
 """Tests for the KNN classifier, including the rotation-invariance claim."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.perturbation import perturb_rows, sample_perturbation
 from repro.mining.knn import KNNClassifier
 
@@ -121,3 +128,66 @@ class TestRotationInvariance:
         probes_p = perturb_rows(perturbation, probes, rng=rng)
         agreement = np.mean(plain.predict(probes) == noisy.predict(probes_p))
         assert agreement > 0.85
+
+
+class TestScratch:
+    """The set vote's per-thread scratch buffers change no prediction."""
+
+    @staticmethod
+    def _in_fresh_thread(fn):
+        out = []
+        thread = threading.Thread(target=lambda: out.append(fn()))
+        thread.start()
+        thread.join()
+        return out[0]
+
+    def test_reused_buffers_predict_as_fresh_ones(self, rng):
+        # Shapes grow, shrink and grow again, so later calls see views of
+        # buffers a larger call left dirty; one block is past the cap.
+        cases = []
+        for n_train, n_test, batch_size in (
+            (300, 700, 512), (40, 9, 512), (512, 600, 256), (512, 1100, 1024),
+            (7, 3, 512),
+        ):
+            X = rng.normal(size=(n_train, 4))
+            y = rng.integers(0, 3, size=n_train)
+            model = KNNClassifier(n_neighbors=5, batch_size=batch_size).fit(X, y)
+            cases.append((model, rng.normal(size=(n_test, 4))))
+        here = [model.predict(queries) for model, queries in cases]
+        for (model, queries), got in zip(cases, here):
+            fresh = self._in_fresh_thread(lambda: model.predict(queries))
+            np.testing.assert_array_equal(got, fresh)
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="counts Linux minor page faults"
+    )
+    def test_a_fresh_process_stops_faulting_on_a_stream_session(self):
+        # A stream-long-shaped session, run twice in a fresh process: the
+        # second run's minor faults.  Freed distance blocks used to be
+        # handed back to the system and faulted in again on every block
+        # (about 4,000 per session); one BLAS thread, as the benchmark
+        # runs, keeps OpenBLAS's own per-call buffers out of the count.
+        code = textwrap.dedent(
+            """
+            import resource
+            from repro.serve import SessionSpec, execute_spec
+            spec = SessionSpec(
+                kind="stream", dataset="wine", stream="abrupt", windows=10,
+                window_size=256, shards=2, late_policy="readmit",
+                trust_changes=((4, 0, 0.5),), skew=6, watermark_delay=2,
+                k=3, seed=1, compute_privacy=False,
+            )
+            execute_spec(spec)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            execute_spec(spec)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) <= 100

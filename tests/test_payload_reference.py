@@ -11,7 +11,9 @@ the reference's bytes exactly, and :func:`deserialize_payload` must read
 back the reference's values.
 """
 
+import collections
 import contextlib
+import enum
 import importlib.util
 import io
 import os
@@ -21,7 +23,7 @@ from typing import Any
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.simnet import channel
@@ -231,8 +233,61 @@ def test_deck_payloads_decode_to_the_reference_values(deck_payloads):
         assert _same(deserialize_payload(data), reference_read(data))
 
 
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**40
+
+
+class Name(str):
+    """A ``str`` subclass."""
+
+
+#: values of subclasses of the written types, which the walker writes as
+#: the types they extend; numpy scalars, which the payload layout writes
+#: as the Python numbers they hold
+subclass_leaves = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(np.float64),
+    st.integers(-(2**40), 2**40).map(np.int64),
+    st.sampled_from(Level),
+    st.text(max_size=8).map(Name),
+)
+
+
+def with_subclasses(keys):
+    """JSON-like values with subclass leaves, tuples and ``OrderedDict``s
+    mixed in; dict keys drawn from ``keys``."""
+    return st.recursive(
+        st.one_of(json_like, subclass_leaves),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(keys, children, max_size=4),
+            st.dictionaries(keys, children, max_size=4).map(
+                collections.OrderedDict
+            ),
+        ),
+        max_leaves=12,
+    )
+
+
+_PAYLOAD_KEYS = st.one_of(st.text(max_size=8), st.text(max_size=8).map(Name))
+
+
+#: one of each subclass value, whatever the random draws bring
+SUBCLASS_EXAMPLE = [
+    True, np.float64(0.5), np.int64(-3), Level.HIGH, Name("n"), (1, 2.5),
+    collections.OrderedDict([(Name("k"), None), ("a", [False])]),
+]
+
+
 @FAST
-@given(payload=st.dictionaries(st.text(max_size=8), json_like, max_size=5))
+@given(
+    payload=st.dictionaries(
+        _PAYLOAD_KEYS, with_subclasses(_PAYLOAD_KEYS), max_size=5
+    )
+)
+@example(payload={Name("subclasses"): SUBCLASS_EXAMPLE})
 def test_generated_payloads_match_the_reference(payload):
     data = serialize_payload(payload)
     assert data == reference_write(payload)

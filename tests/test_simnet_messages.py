@@ -167,6 +167,9 @@ HOSTILE = {
     "utf8-key": _one_entry(_key(b"\xff\xfe"), b"N"),
     "list-key": _one_entry(b"L" + struct.pack(">I", 0), b"N"),
     "shape-mismatch": _one_entry(_key(b"a"), _array(b"<f8", (3,), bytes(8))),
+    "zero-itemsize-dtype": _one_entry(
+        _key(b"a"), _array(b"|S0", (2**40, -(2**40)), b"")
+    ),
     "deep-nesting": _one_entry(
         _key(b"a"), (b"L" + struct.pack(">I", 1)) * 20000 + b"N"
     ),
